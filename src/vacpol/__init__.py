@@ -8,7 +8,7 @@ Library layout:
   plus the spectral oracle;
 * :mod:`vacpol.reflecting` / :mod:`vacpol.semitransparent` -- the
   renormalized polarization, its regulator continuation, asymptotic laws
-  and massless limits;
+  and massless limits, each wall mapped to one :class:`vacpol.core.ImageSum`;
 * :mod:`vacpol.validation` -- every library invariant as a named check;
 * :mod:`vacpol.cli` -- the ``vacpol`` command.
 """

@@ -5,9 +5,8 @@
 Exit codes: 0 success, 1 validation failures, 2 invalid parameters or
 positivity violation, 3 infrared divergence, 4 numerical failure.
 
-Output is deterministic: grid points are evaluated concurrently but rows
-are assembled in ascending ``x1`` order, and every float is printed in its
-shortest round-trip decimal form.  An optional ``--config FILE`` reads
+Output is deterministic: rows come in ascending ``x1`` order, and every
+float is printed in its shortest round-trip decimal form.  An optional ``--config FILE`` reads
 ``key=value`` lines (keys are the long flag names); explicit flags win.
 """
 
@@ -15,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -176,7 +174,8 @@ def _profile_row_reporting(mod, cfg, bc, x1):
         ) from exc
 
 
-def _emit_rows(args, columns, rows, meta, out=sys.stdout):
+def _emit_rows(args, columns, rows, meta):
+    out = sys.stdout  # looked up per call, so that redirect_stdout reaches it
     if args.output == "csv":
         out.write(",".join(columns) + "\n")
         for row in rows:
@@ -208,8 +207,7 @@ def cmd_profile(args):
     unknown = [c for c in columns if c not in PROFILE_COLUMNS]
     if unknown:
         raise ParameterError(f"unknown columns {unknown}; available: {','.join(PROFILE_COLUMNS)}")
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda x: _profile_row_reporting(mod, cfg, bc, x), xs))
+    rows = [_profile_row_reporting(mod, cfg, bc, x) for x in xs]
     meta = _meta_from(args, ("geometry", "d", "m", "kappa", "x_min", "x_max",
                              "points", "spacing", "sides"))
     if args.geometry == "reflecting":
@@ -241,11 +239,7 @@ def cmd_asymptotics(args):
 
 
 def cmd_spectrum(args):
-    bc = _make_bc(args)
-    if args.geometry == "reflecting":
-        report = rf.spectrum(bc, args.m)
-    else:
-        report = st.spectrum(bc, args.m)
+    report = _geometry_module(args).spectrum(_make_bc(args), args.m)
     payload = {
         "geometry": args.geometry,
         "m": args.m,

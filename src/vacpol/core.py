@@ -1,11 +1,56 @@
-"""Shared value types: field configuration, polarization results, spectra."""
+r"""Shared value types and the image-sum representation of a wall.
+
+Both wall families give the plane term the same shape: a head weight
+``A`` times ``F((d-1)/2, 2m|x1|)`` plus a short list of ``(weight, rate)``
+image terms (:class:`ImageSum`).  A reflecting face is the delta family
+with ``L = +1`` (Neumann, Robin) or ``L = -1`` (Dirichlet).  The geometry
+modules only map their boundary condition at ``x1`` to that record; every
+observable -- plane term, regulator continuation and its Laurent
+renormalization, nested-quadrature oracles, asymptotic laws and massless
+limits -- is evaluated here from it.
+"""
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
-from .errors import ParameterError
+from .errors import (
+    InfraredDivergenceError,
+    NumericalFailureError,
+    ParameterError,
+    PoleError,
+    SlowDecayWarning,
+)
+from .quadrature import QuadSpec, integrate_semi_infinite
+from .specialfns import (
+    EULER_GAMMA,
+    bessel_k_weighted,
+    bessel_k_weighted_scaled,
+    harmonic_number,
+    upper_gamma_scaled,
+)
 
-__all__ = ["FieldConfig", "PolarizationValue", "SpectrumReport", "LaurentFit", "fit_laurent_at_zero"]
+__all__ = [
+    "FieldConfig",
+    "PolarizationValue",
+    "SpectrumReport",
+    "LaurentFit",
+    "ImageSum",
+    "fit_laurent_at_zero",
+    "free_term",
+]
+
+# Production integrals are controlled relatively: plane terms decay like
+# exp(-2 m |x1|) and their absolute size spans many orders of magnitude.
+_PROD_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
+_ORACLE_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=400)
+
+#: Image rates within this relative margin of the convergence boundary -m get
+#: a SlowDecayWarning: the integrand decay rate 2(rate+m)|x1| degenerates.
+NEAR_THRESHOLD_MARGIN = 1e-3
+
+_CONSISTENCY_TOL = 1e-6
+_LAURENT_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -74,6 +119,17 @@ class SpectrumReport:
     lambda_plus: float | None = None
     lambda_minus: float | None = None
 
+    @classmethod
+    def from_rates(cls, m, rates, lambda_plus=None, lambda_minus=None):
+        """Spectrum of a wall whose decay ``rates`` below 0 are bound states:
+        one eigenvalue ``m**2 - rate**2`` each; positive iff every rate
+        exceeds ``-m`` (is ``>= 0`` when ``m = 0``)."""
+        if not m >= 0.0:
+            raise ParameterError(f"mass must be >= 0, got {m}")
+        eigenvalues = tuple(sorted(m * m - r * r for r in rates if r < 0.0))
+        positive = all(r > -m if m > 0.0 else r >= 0.0 for r in rates)
+        return cls(m * m, eigenvalues, positive, lambda_plus, lambda_minus)
+
 
 @dataclass(frozen=True)
 class LaurentFit:
@@ -113,7 +169,10 @@ def fit_laurent_at_zero(f, eps=1e-3):
 
 
 def sign(x):
-    """Sign of a nonzero coordinate (the wall itself is outside the domain)."""
+    """Sign of a wall distance ``x1``, the entry check of every observable:
+    the wall itself (where the observable diverges) and non-finite values raise."""
+    if not math.isfinite(x):
+        raise ParameterError(f"x1 must be a finite distance from the wall, got {x}")
     if x > 0.0:
         return 1.0
     if x < 0.0:
@@ -124,3 +183,285 @@ def sign(x):
 def gaussian_free_factor(d):
     """(4 pi)**(d/2), shared normalization of the heat-kernel integrals."""
     return (4.0 * math.pi) ** (0.5 * d)
+
+
+def free_term(cfg):
+    r"""Constant bulk contribution, identical for every boundary condition.
+
+    Even ``d``:  ``(-1)^(d/2) pi m^(d-1) / ((4 pi)^((d+1)/2) Gamma((d+1)/2))``;
+    odd ``d``:   ``(-1)^((d-1)/2) m^(d-1) [H_((d-1)/2) + 2 log(2 kappa/m)]``
+    over the same denominator.  For ``m = 0`` the limit vanishes when
+    ``d >= 2`` and diverges logarithmically when ``d = 1``.
+    """
+    d, m = cfg.d, cfg.m
+    if m == 0.0:
+        if d == 1:
+            raise InfraredDivergenceError(
+                "the massless free term diverges in d = 1; only the combination "
+                "free + plane has a finite massless limit (see massless_value)"
+            )
+        return 0.0
+    denom = (4.0 * math.pi) ** (0.5 * (d + 1)) * math.gamma(0.5 * (d + 1))
+    if d % 2 == 0:
+        return (-1.0) ** (d // 2) * math.pi * m ** (d - 1) / denom
+    bracket = harmonic_number((d - 1) // 2) + 2.0 * math.log(2.0 * cfg.kappa / m)
+    return (-1.0) ** ((d - 1) // 2) * m ** (d - 1) * bracket / denom
+
+
+def _require_mass(cfg, name):
+    if not cfg.m > 0.0:
+        raise ParameterError(f"{name} needs m > 0; use massless_value for m = 0")
+
+
+def _small_x_leading(d, m, x1):
+    ax = abs(x1)
+    if d == 1:
+        return -math.log(m * ax) / (2.0 * math.pi)
+    if d == 2:
+        return 1.0 / (8.0 * math.pi * ax)
+    return math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
+
+
+def _image_integral(d, m, ax, rate, u=0.0):
+    # int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1));
+    # shared by the plane term (u = 0) and the continuation
+    nu = 0.5 * (d - 1 - u)
+    power = u - d + 1.0
+    # Integrate in the unit-rate variable t = 2(rate+m)|x| v: the boundary
+    # layer of width 1/(2 rate |x|) at large rates would otherwise slip between
+    # the nodes of the adaptive rule.  The exp-scaled Bessel keeps
+    # near-threshold rates (close to -m) free of spurious under/overflow.
+    total_rate = 2.0 * (rate + m) * ax
+    offset = 2.0 * m * ax
+
+    def f(t):
+        expo = -t - offset
+        if expo < -745.0:  # true integrand tail below the double-precision floor
+            return 0.0
+        v = t / total_rate
+        w = 2.0 * m * ax * (v + 1.0)
+        return math.exp(expo) * (v + 1.0) ** power * bessel_k_weighted_scaled(nu, w)
+
+    value, _ = integrate_semi_infinite(f, _PROD_SPEC)
+    return value / total_rate
+
+
+def _w_image_integral(b, ax, tau, spec, m=0.0):
+    # int_0^inf dw e^{-m^2 tau - b w - (w + 2|x|)^2/(4 tau)}; the mass factor is
+    # folded into the exponent so the peak never overflows for |b| < m even at
+    # the huge proper times the outer adaptive quadrature samples
+    mt = m * m * tau
+    s = 2.0 * ax
+    w_peak = -2.0 * b * tau - s
+    peak = -mt + (b * b * tau + b * s if w_peak > 0.0 else -s * s / (4.0 * tau))
+    if peak < -370.0:
+        # peak below e^-370: the exact tail is invisible next to any
+        # representable plane value, while pure-relative quadrature of such a
+        # spike would only stall on roundoff
+        return 0.0
+
+    def f(w):
+        expo = -mt - b * w - (w + s) ** 2 / (4.0 * tau)
+        return math.exp(expo) if expo > -745.0 else 0.0
+
+    value, _ = integrate_semi_infinite(f, spec)
+    return value
+
+
+@dataclass(frozen=True)
+class ImageSum:
+    r"""A wall seen from one side: a head weight and ``(weight, rate)`` images.
+
+    The plane term at signed distance ``x1`` is
+
+        P(d, x1) [head F((d-1)/2, 2m|x1|) + sum_k weight_k |x1| I(rate_k)],
+
+    with ``F(nu, w) = w^nu K_nu(w)``,
+    ``P = 1/(2^{(3d-1)/2} pi^{(d+1)/2} |x1|^{d-1})`` and the coupling integral
+    ``I(rate) = int_0^inf dv e^{-2 rate |x1| v} (v+1)^{1-d} F((d-1)/2, 2m|x1|(v+1))``.
+    In the proper-time representation the same record reads
+    ``head e^{-x1^2/tau} + sum_k weight_k/2 int_0^inf dw e^{-rate_k w - (w+2|x1|)^2/(4 tau)}``.
+
+    Neumann is ``head = 1``, Dirichlet ``head = -1``, a Robin face ``b`` adds
+    the image ``(-4b, b)``; the delta family has ``head = L`` and the image
+    ``(-2(1+L)c, c)``, the delta-prime family ``head = 1`` and the images
+    ``(2 M_+, Lambda_+)``, ``(-2 M_-, Lambda_-)``.  Zero-weight images are
+    dropped on construction: their rate may be 0, where the massless
+    incomplete-Gamma factor is singular.
+
+    The methods take an already validated ``x1`` (see :func:`sign`) and
+    evaluate every observable of both geometry modules.
+    """
+
+    head: float
+    terms: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple((w, r) for w, r in self.terms if w != 0.0))
+
+    def _bracket(self, d, m, ax, u):
+        # head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate), shifted by u
+        value = self.head * bessel_k_weighted(0.5 * (d - 1 - u), 2.0 * m * ax)
+        for weight, rate in self.terms:
+            value += weight * ax * _image_integral(d, m, ax, rate, u)
+        return value
+
+    def _proper_time_bracket(self, base, image, m, ax, tau):
+        # base + head e^{-m^2 tau - x1^2/tau} + sum weight/2 w-image(rate)
+        value = base + self.head * image
+        for weight, rate in self.terms:
+            value += 0.5 * weight * _w_image_integral(rate, ax, tau, _ORACLE_SPEC, m)
+        return value
+
+    def plane_term(self, cfg, x1):
+        """Closed-form plane term at ``x1`` (``m > 0``)."""
+        _require_mass(cfg, "plane_term")
+        slowest = min((rate for _, rate in self.terms), default=math.inf)
+        if slowest + cfg.m < NEAR_THRESHOLD_MARGIN * cfg.m:
+            warnings.warn(
+                f"decay rate {slowest} is within {NEAR_THRESHOLD_MARGIN:g}*m of the "
+                "convergence boundary -m; quadrature may be slow",
+                SlowDecayWarning,
+                stacklevel=3,
+            )
+        d, ax = cfg.d, abs(x1)
+        prefactor = 1.0 / (2.0 ** (0.5 * (3 * d - 1)) * math.pi ** (0.5 * (d + 1)) * ax ** (d - 1))
+        return prefactor * self._bracket(d, cfg.m, ax, 0.0)
+
+    def plane_term_oracle(self, cfg, x1):
+        """Nested proper-time quadrature of :meth:`plane_term`; shares no
+        code with the Bessel closed form."""
+        _require_mass(cfg, "plane_term_oracle")
+        slowest = min((rate for _, rate in self.terms), default=math.inf)
+        if slowest < 0.0:
+            # a bound state slows the proper-time decay to exp(-(m^2 - rate^2) tau)
+            warnings.warn(
+                f"oracle integrand decays at reduced rate m^2 - rate^2 for image rate "
+                f"{slowest} < 0",
+                SlowDecayWarning,
+                stacklevel=3,
+            )
+        d, m, ax = cfg.d, cfg.m, abs(x1)
+
+        def integrand(tau):
+            expo = -m * m * tau - ax * ax / tau  # e^{-m^2 tau - x1^2/tau}, the mirror image
+            image = math.exp(expo) if expo > -745.0 else 0.0
+            return tau ** (-0.5 * (d + 1)) * self._proper_time_bracket(0.0, image, m, ax, tau)
+
+        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
+        return value / (2.0 * gaussian_free_factor(d) * math.sqrt(math.pi))
+
+    def regularized_polarization(self, cfg, x1, u):
+        """Continuation of the regularized polarization to real ``u`` off
+        the pole lattice ``u = d - 1 - 2l``."""
+        _require_mass(cfg, "regularized_polarization")
+        d, m, ax = cfg.d, cfg.m, abs(x1)
+        # poles of the continued representation sit at u = d - 1 - 2l, l >= 0
+        ell = 0.5 * (d - 1 - u)
+        nearest = round(ell)
+        if nearest >= 0 and abs(ell - nearest) < 1e-9:
+            raise PoleError(
+                f"u = {u} is a pole of the meromorphic continuation (u = d-1-2l lattice)",
+                pole=d - 1 - 2 * nearest,
+            )
+        # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2))
+        free = (
+            m ** (d - 1)
+            * (cfg.kappa / m) ** u
+            * math.gamma(0.5 * (u - d + 1))
+            / (2.0 ** (d + 1) * math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
+        )
+        common = (
+            2.0 ** (0.5 * (u - 3 * d + 1))
+            * (cfg.kappa * ax) ** u
+            / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
+        )
+        return free + common * self._bracket(d, m, ax, u)
+
+    def regularized_polarization_oracle(self, cfg, x1, u):
+        """Direct proper-time representation in the strip ``u > d - 1``."""
+        if not u > cfg.d - 1:
+            raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
+        _require_mass(cfg, "regularized_polarization_oracle")
+        d, m, ax = cfg.d, cfg.m, abs(x1)
+
+        def integrand(tau):
+            mt = m * m * tau
+            if mt > 745.0:
+                return 0.0
+            image = math.exp(-mt - ax * ax / tau)
+            bracket = self._proper_time_bracket(math.exp(-mt), image, m, ax, tau)
+            return tau ** (0.5 * (u - d - 1)) * bracket
+
+        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
+        return cfg.kappa**u / (2.0 * gaussian_free_factor(d) * math.gamma(0.5 * (u + 1))) * value
+
+    def laurent_coefficients(self, cfg, x1):
+        """Laurent data of the continuation at ``u = 0`` (four-point stencil)."""
+        return fit_laurent_at_zero(
+            lambda u: self.regularized_polarization(cfg, x1, u), _LAURENT_EPS
+        )
+
+    def renormalize_at_zero(self, cfg, x1, branch):
+        """Regular part of the continuation at ``u = 0`` (even ``d``: direct
+        value, odd ``d``: ``c0`` of the Laurent fit), cross-checked against
+        ``free_term + plane_term``; returns the exact closed-form split."""
+        free = free_term(cfg)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SlowDecayWarning)
+            plane = self.plane_term(cfg, x1)
+        if cfg.d % 2 == 0:
+            c0 = self.regularized_polarization(cfg, x1, 0.0)
+        else:
+            c0 = self.laurent_coefficients(cfg, x1).c0
+        closed = free + plane
+        mismatch = abs(c0 - closed)
+        # both sides carry relative rounding: near the wall at high d they
+        # reach 1e5 and beyond, where an absolute 1e-6 would fail spuriously
+        if mismatch > _CONSISTENCY_TOL * max(1.0, abs(closed)):
+            raise NumericalFailureError(
+                f"Laurent regular part disagrees with the closed forms by {mismatch:.3e}",
+                best_estimate=c0,
+                error_bound=mismatch,
+            )
+        notes = tuple(str(w.message) for w in caught)
+        return PolarizationValue.build(free, plane, branch, notes)
+
+    def small_x_asymptotic(self, cfg, x1):
+        """Leading near-wall term: ``head`` times the universal reflecting law."""
+        _require_mass(cfg, "small_x_asymptotic")
+        return self.head * _small_x_leading(cfg.d, cfg.m, x1)
+
+    def large_x_asymptotic(self, cfg, x1):
+        """Leading far-wall decay: the ``e^{-2m|x1|}/|x1|^{d/2}`` envelope
+        times the ratio ``head + sum weight/(2 (rate + m))``."""
+        _require_mass(cfg, "large_x_asymptotic")
+        d, m, ax = cfg.d, cfg.m, abs(x1)
+        ratio = self.head
+        for weight, rate in self.terms:
+            ratio += weight / (2.0 * (rate + m))
+        envelope = m ** (0.5 * (d - 2)) / (2.0 * gaussian_free_factor(d)) * math.exp(-2.0 * m * ax)
+        return envelope / ax ** (0.5 * d) * ratio
+
+    def massless_value(self, cfg, x1):
+        r"""Massless limit of ``free + plane`` (``m = 0``); the free term is 0.
+
+        ``d >= 2``: ``A(d, x1) [head + sum weight |x1| e^w w^{d-2} Gamma(2-d, w)]``
+        with ``w = 2 rate |x1|`` and ``A`` the near-wall law of
+        :meth:`small_x_asymptotic` at ``head = 1``.
+        ``d = 1``: ``[log(2 kappa |x1|) - EULER_GAMMA
+        - sum weight/(2 rate) e^w Gamma(0, w)] / (2 pi)``.  The infrared
+        obstructions of ``d = 1`` are the caller's to reject.
+        """
+        if cfg.m != 0.0:
+            raise ParameterError("massless_value is the m = 0 entry point; got m > 0")
+        d, ax = cfg.d, abs(x1)
+        if d == 1:
+            value = math.log(2.0 * cfg.kappa * ax) - EULER_GAMMA
+            for weight, rate in self.terms:
+                value -= weight / (2.0 * rate) * upper_gamma_scaled(0, 2.0 * rate * ax)
+            return value / (2.0 * math.pi)
+        bracket = self.head
+        for weight, rate in self.terms:
+            bracket += weight * ax * upper_gamma_scaled(d - 2, 2.0 * rate * ax)
+        return _small_x_leading(d, 0.0, x1) * bracket

@@ -15,9 +15,9 @@ alpha = sigma = 1`` is the Dirac-delta wall of strength ``gamma`` and
 
 A mass only multiplies every kernel by ``exp(-m**2 tau)``.
 
-The production Robin kernel uses the closed error-function form; the
-``w``-integral form and the eigenfunction expansion are retained as
-independent oracles.
+Every production kernel evaluates its image integrals in the closed
+error-function form; the ``w``-integral form of the Robin kernel and the
+eigenfunction expansion are retained as independent oracles.
 """
 
 import cmath
@@ -52,6 +52,15 @@ _STRUCT_TOL = 1e-12
 
 _KERNEL_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
 _SPECTRAL_SPEC = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
+
+
+def _check_rate(name, rate, m):
+    # a decay rate at or below -m (below 0 when massless) is a bound state
+    # with a non-positive eigenvalue m^2 - rate^2; a Dirichlet face has none
+    if m > 0.0 and not rate > -m:
+        raise ParameterError(f"{name} = {rate} violates positivity (needs > -m = {-m})")
+    if m == 0.0 and not rate >= 0.0:
+        raise ParameterError(f"{name} = {rate} violates massless positivity (needs >= 0)")
 
 
 @dataclass(frozen=True)
@@ -92,22 +101,10 @@ class ReflectingBC:
         """Coupling of the face on the side of ``x1``."""
         return self.b_plus if x1 > 0.0 else self.b_minus
 
-    def is_dirichlet(self, x1):
-        return math.isinf(self.side(x1))
-
     def check_positive(self, m):
         """Reject couplings that put a point eigenvalue below zero."""
         for name, b in (("b_plus", self.b_plus), ("b_minus", self.b_minus)):
-            if math.isinf(b):
-                continue
-            if m > 0.0 and not b > -m:
-                raise ParameterError(
-                    f"{name} = {b} violates positivity: finite couplings need b > -m = {-m}"
-                )
-            if m == 0.0 and not b >= 0.0:
-                raise ParameterError(
-                    f"{name} = {b} violates massless positivity: finite couplings need b >= 0"
-                )
+            _check_rate(name, b, m)
 
 
 @dataclass(frozen=True)
@@ -171,30 +168,26 @@ class SemitransparentBC:
         )
 
     def check_positive(self, m):
+        """Reject couplings that put a point eigenvalue below zero."""
         if self.is_delta_family:
-            r = self.delta_ratio
-            if m > 0.0 and not r > -m:
-                raise ParameterError(
-                    f"gamma/(alpha+sigma) = {r} violates positivity (needs > -m = {-m})"
-                )
-            if m == 0.0 and not r >= 0.0:
-                raise ParameterError(
-                    f"gamma/(alpha+sigma) = {r} violates massless positivity (needs >= 0)"
-                )
+            _check_rate("gamma/(alpha+sigma)", self.delta_ratio, m)
         else:
-            _, lam_minus = self.lambda_pm()
-            if m > 0.0 and not lam_minus > -m:
-                raise ParameterError(
-                    f"Lambda_minus = {lam_minus} violates positivity (needs > -m = {-m})"
-                )
-            if m == 0.0 and not lam_minus >= 0.0:
-                raise ParameterError(
-                    f"Lambda_minus = {lam_minus} violates massless positivity (needs >= 0)"
-                )
+            _check_rate("Lambda_minus", self.lambda_pm()[1], m)
 
 
 def _gauss(u, tau):
     return math.exp(-u * u / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
+
+
+def _w_image(c, s, tau):
+    # (4 pi tau)^{-1/2} int_0^inf dw e^{-c w - (w+s)^2/(4 tau)}
+    #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2;
+    # below a zero erfcx argument (bound state, c < 0) the growing part
+    # e^{tau c^2 + c s} is split off so that nothing overflows
+    arg = c * math.sqrt(tau) + s / (2.0 * math.sqrt(tau))
+    if arg >= 0.0:
+        return 0.5 * erfcx(arg) * math.exp(-s * s / (4.0 * tau))
+    return math.exp(tau * c * c + c * s) - 0.5 * erfcx(-arg) * math.exp(-s * s / (4.0 * tau))
 
 
 def robin_half_line_kernel(q, b, m=0.0):
@@ -220,12 +213,7 @@ def robin_half_line_kernel(q, b, m=0.0):
     tau = q.tau
     value = _gauss(q.x1 - q.y1, tau) + _gauss(s, tau)
     if b != 0.0:
-        arg = b * math.sqrt(tau) + s / (2.0 * math.sqrt(tau))
-        if arg >= 0.0:
-            value -= b * erfcx(arg) * math.exp(-s * s / (4.0 * tau))
-        else:
-            value -= 2.0 * b * math.exp(tau * b * b + b * s)
-            value += b * erfcx(-arg) * math.exp(-s * s / (4.0 * tau))
+        value -= 2.0 * b * _w_image(b, s, tau)
     return math.exp(-m * m * tau) * value
 
 
@@ -255,10 +243,7 @@ def reflecting_kernel(q, bc, m=0.0):
     bc.check_positive(m)
     if q.x1 * q.y1 < 0.0:
         return 0.0
-    if q.x1 > 0.0:
-        b, x, y = bc.b_plus, q.x1, q.y1
-    else:
-        b, x, y = bc.b_minus, -q.x1, -q.y1
+    b, x, y = bc.side(q.x1), abs(q.x1), abs(q.y1)
     if math.isinf(b):
         return math.exp(-m * m * q.tau) * (_gauss(x - y, q.tau) - _gauss(x + y, q.tau))
     return robin_half_line_kernel(HeatQuery(q.tau, x, y), b, m)
@@ -329,39 +314,34 @@ def _mix_weights_delta_prime(bc, x1, y1):
     return out[0], out[1]
 
 
-def semitransparent_kernel(q, bc, m=0.0, spec=_KERNEL_SPEC):
+def semitransparent_kernel(q, bc, m=0.0):
     r"""Heat kernel of the semitransparent wall (complex valued in general).
 
     Free Gaussian plus image terms weighted by the mixing coefficients of
-    the matching coupling family, with the ``w``-integrals
-    ``int_0^inf e^{-c w - (w+|x|+|y|)^2/(4 tau)} dw`` evaluated by
-    quadrature.  Hermitian (``K(x, y) = conj(K(y, x))``) and real whenever
+    the matching coupling family.  The ``w``-integrals
+    ``(4 pi tau)^{-1/2} int_0^inf e^{-c w - (w+|x|+|y|)^2/(4 tau)} dw`` take
+    the closed form ``e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau)))/2``
+    with ``s = |x| + |y|``, shared with :func:`robin_half_line_kernel`.
+    Hermitian (``K(x, y) = conj(K(y, x))``) and real whenever
     ``Im omega = 0`` or both points are on the same side.
     """
     bc.check_positive(m)
     tau, x, y = q.tau, q.x1, q.y1
     s = abs(x) + abs(y)
     g_img = _gauss(s, tau)
-
-    def w_integral(c):
-        val, _ = integrate_semi_infinite(
-            lambda w: math.exp(-c * w - (w + s) ** 2 / (4.0 * tau)), spec
-        )
-        return val / math.sqrt(4.0 * math.pi * tau)
-
     value = complex(_gauss(x - y, tau))
     if bc.is_delta_family:
         mix = _mix_weight_delta(bc, x, y)
         value += mix * g_img
         c = bc.delta_ratio
         if c != 0.0:
-            value -= c * (1.0 + mix) * w_integral(c)
+            value -= c * (1.0 + mix) * _w_image(c, s, tau)
     else:
         lam_p, lam_m = bc.lambda_pm()
         value += sign(x) * sign(y) * g_img
         m_p, m_m = _mix_weights_delta_prime(bc, x, y)
         if m_p != 0.0:
-            value += m_p * w_integral(lam_p)
+            value += m_p * _w_image(lam_p, s, tau)
         if m_m != 0.0:
-            value -= m_m * w_integral(lam_m)
+            value -= m_m * _w_image(lam_m, s, tau)
     return cmath.exp(-m * m * tau) * value

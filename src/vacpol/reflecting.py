@@ -11,33 +11,22 @@ infrared divergence of the massless ``d = 1`` theory); the plane term
 with ``F(nu, w) = w^nu K_nu(w)``, ``P = 1/(2^{(3d-1)/2} pi^{(d+1)/2} |x1|^{d-1})``
 and ``b`` the Robin coupling of the face on the side of ``x1``, carries all
 the boundary dependence.  Neumann (``b = 0``) and Dirichlet reduce to
-``+/- P * F``.  Every closed form here is cross-checked by an independent
+``+/- P * F``: as a :class:`~vacpol.core.ImageSum`, which evaluates every
+observable below, the face is head ``+1`` with the image ``(-4b, b)``, or
+head ``-1``.  Every closed form here is cross-checked by an independent
 brute-force oracle that integrates the underlying proper-time
 representation by nested quadrature.
 
 Conventions: ``x1`` is the signed distance from the wall and must be
-nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when ``m = 0``).
+finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
+``m = 0``).
 """
 
 import math
-import warnings
 
-from .core import PolarizationValue, SpectrumReport, fit_laurent_at_zero
-from .errors import (
-    InfraredDivergenceError,
-    NumericalFailureError,
-    ParameterError,
-    PoleError,
-    SlowDecayWarning,
-)
-from .quadrature import QuadSpec, integrate_semi_infinite
-from .specialfns import (
-    EULER_GAMMA,
-    bessel_k_weighted,
-    bessel_k_weighted_scaled,
-    harmonic_number,
-    upper_gamma_scaled,
-)
+from . import core
+from .core import ImageSum, PolarizationValue, SpectrumReport, sign
+from .errors import InfraredDivergenceError, ParameterError
 
 __all__ = [
     "free_term",
@@ -54,138 +43,38 @@ __all__ = [
     "spectrum",
 ]
 
-# Production integrals are controlled relatively: plane terms decay like
-# exp(-2 m |x1|) and their absolute size spans many orders of magnitude.
-_PROD_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
-_ORACLE_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=400)
 
-#: Couplings within this relative margin of the convergence boundary -m get
-#: a SlowDecayWarning: the integrand decay rate 2(b+m)|x1| degenerates.
-NEAR_THRESHOLD_MARGIN = 1e-6
-
-_CONSISTENCY_TOL = 1e-6
-_LAURENT_EPS = 1e-3
-
-
-def _half_order(d):
-    return 0.5 * (d - 1)
-
-
-def _plane_prefactor(d, x1):
-    return 1.0 / (2.0 ** (0.5 * (3 * d - 1)) * math.pi ** (0.5 * (d + 1)) * abs(x1) ** (d - 1))
+def _images(cfg, bc, x1):
+    # the face on the side of x1: Neumann is head +1, Dirichlet head -1, and
+    # a Robin coupling b adds the image (-4b, b) (dropped again when b = 0)
+    sign(x1)
+    bc.check_positive(cfg.m)
+    b = bc.side(x1)
+    if math.isinf(b):
+        return ImageSum(-1.0)
+    return ImageSum(1.0, ((-4.0 * b, b),))
 
 
 def free_term(cfg):
-    r"""Constant bulk contribution, identical for every boundary condition.
-
-    Even ``d``:  ``(-1)^(d/2) pi m^(d-1) / ((4 pi)^((d+1)/2) Gamma((d+1)/2))``;
-    odd ``d``:   ``(-1)^((d-1)/2) m^(d-1) [H_((d-1)/2) + 2 log(2 kappa/m)]``
-    over the same denominator.  For ``m = 0`` the limit vanishes when
-    ``d >= 2`` and diverges logarithmically when ``d = 1``.
-    """
-    d, m = cfg.d, cfg.m
-    if m == 0.0:
-        if d == 1:
-            raise InfraredDivergenceError(
-                "the massless free term diverges in d = 1; only the combination "
-                "free + plane has a finite massless limit (see massless_value)"
-            )
-        return 0.0
-    denom = (4.0 * math.pi) ** (0.5 * (d + 1)) * math.gamma(0.5 * (d + 1))
-    if d % 2 == 0:
-        return (-1.0) ** (d // 2) * math.pi * m ** (d - 1) / denom
-    bracket = harmonic_number((d - 1) // 2) + 2.0 * math.log(2.0 * cfg.kappa / m)
-    return (-1.0) ** ((d - 1) // 2) * m ** (d - 1) * bracket / denom
-
-
-def _coupling_integral(d, m, x1, b, nu_shift=0.0, spec=_PROD_SPEC):
-    # int_0^inf dv e^{-2 b |x| v} (v+1)^{nu_shift+1-d} F((d-1-nu_shift)/2, 2m|x|(v+1));
-    # shared by plane_term (nu_shift = 0) and the continuation (nu_shift = u)
-    ax = abs(x1)
-    nu = _half_order(d) - 0.5 * nu_shift
-    power = nu_shift + 1.0 - d
-    # Integrate in the unit-rate variable t = 2(b+m)|x| v: the boundary layer
-    # of width 1/(2b|x|) at large b would otherwise slip between the nodes of
-    # the adaptive rule.  The exp-scaled Bessel keeps near-threshold couplings
-    # (b close to -m) free of spurious under/overflow.
-    rate = 2.0 * (b + m) * ax
-    offset = 2.0 * m * ax
-
-    def f(t):
-        expo = -t - offset
-        if expo < -745.0:  # true integrand tail below the double-precision floor
-            return 0.0
-        v = t / rate
-        w = 2.0 * m * ax * (v + 1.0)
-        return math.exp(expo) * (v + 1.0) ** power * bessel_k_weighted_scaled(nu, w)
-
-    value, _ = integrate_semi_infinite(f, spec)
-    return value / rate
-
-
-def _warn_near_threshold(b, m):
-    if b < 0.0 and b + m <= NEAR_THRESHOLD_MARGIN * m:
-        warnings.warn(
-            f"coupling b = {b} is within {NEAR_THRESHOLD_MARGIN:g}*m of the convergence "
-            "boundary -m; integrand decay is degenerate and quadrature may be slow",
-            SlowDecayWarning,
-            stacklevel=3,
-        )
+    """Constant bulk contribution, identical for every boundary condition
+    (:func:`vacpol.core.free_term`)."""
+    return core.free_term(cfg)
 
 
 def plane_term(cfg, bc, x1):
     """Boundary contribution of the reflecting wall at signed distance ``x1``."""
-    if not cfg.m > 0.0:
-        raise ParameterError("plane_term needs m > 0; use massless_value for m = 0")
-    bc.check_positive(cfg.m)
-    b = bc.side(x1)
-    if math.isinf(b):
-        return plane_term_dn(cfg, x1, -1)
-    _warn_near_threshold(b, cfg.m)
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-    head = bessel_k_weighted(_half_order(d), 2.0 * m * ax)
-    if b == 0.0:
-        return _plane_prefactor(d, x1) * head
-    tail = 4.0 * b * ax * _coupling_integral(d, m, x1, b)
-    return _plane_prefactor(d, x1) * (head - tail)
+    return _images(cfg, bc, x1).plane_term(cfg, x1)
 
 
 def plane_term_dn(cfg, x1, sign_dn):
     """Neumann (+1) / Dirichlet (-1) closed form ``+/- P F((d-1)/2, 2m|x1|)``."""
     if sign_dn not in (1, -1):
         raise ParameterError("sign_dn must be +1 (Neumann) or -1 (Dirichlet)")
-    if not cfg.m > 0.0:
-        raise ParameterError("plane_term_dn needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    head = bessel_k_weighted(_half_order(cfg.d), 2.0 * cfg.m * abs(x1))
-    return sign_dn * _plane_prefactor(cfg.d, x1) * head
+    sign(x1)
+    return ImageSum(float(sign_dn)).plane_term(cfg, x1)
 
 
-def _w_image_integral(b, ax, tau, spec, m=0.0):
-    # int_0^inf dw e^{-m^2 tau - b w - (w + 2|x|)^2/(4 tau)}; the mass factor is
-    # folded into the exponent so the peak never overflows for |b| < m even at
-    # the huge proper times the outer adaptive quadrature samples
-    mt = m * m * tau
-    s = 2.0 * ax
-    w_peak = -2.0 * b * tau - s
-    peak = -mt + (b * b * tau + b * s if w_peak > 0.0 else -s * s / (4.0 * tau))
-    if peak < -370.0:
-        # peak below e^-370: the exact tail is invisible next to any
-        # representable plane value, while pure-relative quadrature of such a
-        # spike would only stall on roundoff
-        return 0.0
-
-    def f(w):
-        expo = -mt - b * w - (w + s) ** 2 / (4.0 * tau)
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    value, _ = integrate_semi_infinite(f, spec)
-    return value
-
-
-def plane_term_oracle(cfg, bc, x1, spec=_ORACLE_SPEC):
+def plane_term_oracle(cfg, bc, x1):
     r"""Independent brute-force evaluation of :func:`plane_term`.
 
     Integrates the proper-time representation at regulator zero with the
@@ -197,60 +86,7 @@ def plane_term_oracle(cfg, bc, x1, spec=_ORACLE_SPEC):
     by nested adaptive quadrature.  Slow (two quadrature levels) but shares
     no code path with the closed form above.
     """
-    if not cfg.m > 0.0:
-        raise ParameterError("plane_term_oracle needs m > 0")
-    bc.check_positive(cfg.m)
-    b = bc.side(x1)
-    if b < 0.0:
-        # a bound state slows the proper-time decay to exp(-(m^2 - b^2) tau)
-        warnings.warn(
-            f"oracle integrand decays at reduced rate m^2 - b^2 for b = {b} < 0",
-            SlowDecayWarning,
-            stacklevel=2,
-        )
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-
-    def image(tau):  # e^{-m^2 tau - x1^2/tau}, the mirror-image piece
-        expo = -m * m * tau - ax * ax / tau
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    if math.isinf(b):
-        def bracket(tau):
-            return -image(tau)
-    elif b == 0.0:
-        bracket = image
-    else:
-        def bracket(tau):
-            return image(tau) - 2.0 * b * _w_image_integral(b, ax, tau, spec, m)
-
-    def integrand(tau):
-        return tau ** (-0.5 * (d + 1)) * bracket(tau)
-
-    value, _ = integrate_semi_infinite(integrand, spec)
-    return value / (2.0 * (4.0 * math.pi) ** (0.5 * d) * math.sqrt(math.pi))
-
-
-def _check_not_pole(d, u):
-    # poles of the continued representation sit at u = d - 1 - 2l, l >= 0
-    ell = 0.5 * (d - 1 - u)
-    nearest = round(ell)
-    if nearest >= 0 and abs(ell - nearest) < 1e-9:
-        raise PoleError(
-            f"u = {u} is a pole of the meromorphic continuation (u = d-1-2l lattice)",
-            pole=d - 1 - 2 * nearest,
-        )
-
-
-def _free_term_regularized(cfg, u):
-    # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2))
-    d, m = cfg.d, cfg.m
-    return (
-        m ** (d - 1)
-        * (cfg.kappa / m) ** u
-        * math.gamma(0.5 * (u - d + 1))
-        / (2.0 ** (d + 1) * math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
-    )
+    return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):
@@ -262,74 +98,25 @@ def regularized_polarization(cfg, bc, x1, u):
     integral per relevant face).  At ``u = 0`` (even ``d``) it reproduces
     ``free_term + plane_term``.
     """
-    if not cfg.m > 0.0:
-        raise ParameterError("regularized_polarization needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(cfg.m)
-    d, m = cfg.d, cfg.m
-    _check_not_pole(d, u)
-    ax = abs(x1)
-    total = _free_term_regularized(cfg, u)
-    common = (
-        2.0 ** (0.5 * (u - 3 * d + 1))
-        * (cfg.kappa * ax) ** u
-        / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
-    )
-    nu = 0.5 * (d - 1 - u)
-    head = bessel_k_weighted(nu, 2.0 * m * ax)
-    b = bc.side(x1)
-    if math.isinf(b):
-        return total - common * head
-    total += common * head
-    if b != 0.0:
-        tail = _coupling_integral(d, m, x1, b, nu_shift=u)
-        total -= common * 4.0 * b * ax * tail
-    return total
+    return _images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 
 
-def regularized_polarization_oracle(cfg, bc, x1, u, spec=_ORACLE_SPEC):
+def regularized_polarization_oracle(cfg, bc, x1, u):
     """Direct proper-time representation, valid only in the strip ``u > d-1``.
 
     Used to validate the analytic continuation where both converge.
     """
-    if not u > cfg.d - 1:
-        raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
-    if not cfg.m > 0.0:
-        raise ParameterError("regularized_polarization_oracle needs m > 0")
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-    b = bc.side(x1)
-
-    def integrand(tau):
-        mt = m * m * tau
-        if mt > 745.0:
-            return 0.0
-        img = math.exp(-mt - ax * ax / tau)
-        if math.isinf(b):
-            bracket = math.exp(-mt) - img
-        else:
-            bracket = math.exp(-mt) + img
-            if b != 0.0:
-                bracket -= 2.0 * b * _w_image_integral(b, ax, tau, spec, m)
-        return tau ** (0.5 * (u - d - 1)) * bracket
-
-    value, _ = integrate_semi_infinite(integrand, spec)
-    return (
-        cfg.kappa**u
-        / (2.0 * (4.0 * math.pi) ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
-        * value
-    )
+    return _images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
 
 
-def laurent_coefficients(cfg, bc, x1, eps=_LAURENT_EPS):
+def laurent_coefficients(cfg, bc, x1):
     """Laurent data of ``u -> regularized_polarization`` at ``u = 0``.
 
     Four-point stencil ``{+-eps, +-2 eps}``; ``c_m1`` vanishes for even
     ``d`` and equals the (boundary-independent) residue of the Gamma-ratio
     free term for odd ``d``.
     """
-    return fit_laurent_at_zero(lambda u: regularized_polarization(cfg, bc, x1, u), eps)
+    return _images(cfg, bc, x1).laurent_coefficients(cfg, x1)
 
 
 def _branch_label(cfg, bc, x1):
@@ -345,27 +132,12 @@ def renormalize_at_zero(cfg, bc, x1):
 
     Even ``d``: direct evaluation at ``u = 0``.  Odd ``d``: ``c0`` of the
     Laurent fit.  Either way the result must match
-    ``free_term + plane_term`` within 1e-6, otherwise a
+    ``free_term + plane_term`` within 1e-6 relative to
+    ``max(1, |free_term + plane_term|)``, otherwise a
     :class:`~vacpol.errors.NumericalFailureError` is raised; the returned
     value is the exact closed-form split.
     """
-    free = free_term(cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SlowDecayWarning)
-        plane = plane_term(cfg, bc, x1)
-    if cfg.d % 2 == 0:
-        c0 = regularized_polarization(cfg, bc, x1, 0.0)
-    else:
-        c0 = laurent_coefficients(cfg, bc, x1).c0
-    mismatch = abs(c0 - (free + plane))
-    if mismatch > _CONSISTENCY_TOL:
-        raise NumericalFailureError(
-            f"Laurent regular part disagrees with the closed forms by {mismatch:.3e}",
-            best_estimate=c0,
-            error_bound=mismatch,
-        )
-    notes = tuple(str(w.message) for w in caught)
-    return PolarizationValue.build(free, plane, _branch_label(cfg, bc, x1), notes)
+    return _images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc, x1))
 
 
 def small_x_asymptotic(cfg, bc, x1):
@@ -375,21 +147,7 @@ def small_x_asymptotic(cfg, bc, x1):
     ``Gamma((d-1)/2)/((4 pi)^((d+1)/2) |x1|^(d-1))`` for ``d >= 3`` --
     independent of any finite coupling; the Dirichlet face flips the sign.
     """
-    if not cfg.m > 0.0:
-        raise ParameterError("small_x_asymptotic needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    lead = _small_x_leading(cfg.d, cfg.m, x1)
-    return -lead if bc.is_dirichlet(x1) else lead
-
-
-def _small_x_leading(d, m, x1):
-    ax = abs(x1)
-    if d == 1:
-        return -math.log(m * ax) / (2.0 * math.pi)
-    if d == 2:
-        return 1.0 / (8.0 * math.pi * ax)
-    return math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
+    return _images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
 
 
 def large_x_asymptotic(cfg, bc, x1):
@@ -399,23 +157,7 @@ def large_x_asymptotic(cfg, bc, x1):
 
     with the coupling ratio replaced by ``-1`` for a Dirichlet face.
     """
-    if not cfg.m > 0.0:
-        raise ParameterError("large_x_asymptotic needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    b = bc.side(x1)
-    ratio = -1.0 if math.isinf(b) else (cfg.m - b) / (cfg.m + b)
-    return _large_x_envelope(cfg.d, cfg.m, x1) * ratio
-
-
-def _large_x_envelope(d, m, x1):
-    ax = abs(x1)
-    return (
-        m ** (0.5 * (d - 2))
-        / (2.0 * (4.0 * math.pi) ** (0.5 * d))
-        * math.exp(-2.0 * m * ax)
-        / ax ** (0.5 * d)
-    )
+    return _images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
 
 
 def massless_value(cfg, bc, x1):
@@ -434,36 +176,14 @@ def massless_value(cfg, bc, x1):
     where ``A = Gamma((d-1)/2)/((4 pi)^((d+1)/2) |x1|^(d-1))``; the bracket
     degenerates to ``+1`` (Neumann) and ``-1`` (Dirichlet).
     """
-    if cfg.m != 0.0:
-        raise ParameterError("massless_value is the m = 0 entry point; got m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(0.0)
-    d = cfg.d
-    ax = abs(x1)
-    if d == 1:
+    value = _images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
+    if cfg.d == 1:
         for name, b in (("b_plus", bc.b_plus), ("b_minus", bc.b_minus)):
             if b == 0.0:
                 raise InfraredDivergenceError(
                     f"massless d = 1 with Neumann face {name} = 0 is infrared divergent"
                 )
-        b = bc.side(x1)
-        val = math.log(2.0 * cfg.kappa * ax) - EULER_GAMMA
-        if not math.isinf(b):
-            val += 2.0 * upper_gamma_scaled(0, 2.0 * b * ax)
-        val /= 2.0 * math.pi
-    else:
-        b = bc.side(x1)
-        amp = math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
-        if math.isinf(b):
-            bracket = -1.0
-        elif b == 0.0:
-            bracket = 1.0
-        else:
-            w = 2.0 * b * ax
-            bracket = 1.0 - 2.0 * w * upper_gamma_scaled(d - 2, w)
-        val = amp * bracket
-    return PolarizationValue.build(0.0, val, _branch_label(cfg, bc, x1) + ", massless")
+    return PolarizationValue.build(0.0, value, _branch_label(cfg, bc, x1) + ", massless")
 
 
 def spectrum(bc, m):
@@ -473,18 +193,4 @@ def spectrum(bc, m):
     with finite negative coupling; positive iff every face has
     ``b > -m`` (or is Dirichlet).
     """
-    if not m >= 0.0:
-        raise ParameterError(f"mass must be >= 0, got {m}")
-    eigenvalues = []
-    positive = True
-    for b in (bc.b_plus, bc.b_minus):
-        if math.isinf(b):
-            continue
-        if b < 0.0:
-            eigenvalues.append(m * m - b * b)
-            positive = positive and (b > -m if m > 0.0 else False)
-    return SpectrumReport(
-        continuous_threshold=m * m,
-        point_eigenvalues=tuple(sorted(eigenvalues)),
-        positive=positive,
-    )
+    return SpectrumReport.from_rates(m, (bc.b_plus, bc.b_minus))

@@ -1,19 +1,15 @@
 r"""Renormalized vacuum polarization for the semitransparent wall.
 
 Same ``free + plane`` split as the reflecting case (the free term is
-literally the same function).  The plane term comes in two closed forms,
-one per coupling family, both built from ``F(nu, w) = w^nu K_nu(w)`` and
-``P = 1/(2^{(3d-1)/2} pi^{(d+1)/2} |x1|^{d-1})``:
+literally the same function).  The plane term of each coupling family is
+a :class:`~vacpol.core.ImageSum`, which evaluates every observable below:
 
-``beta = 0`` (delta family), with ``L = (alpha-sigma)/(alpha+sigma) sgn(x1)``
-and effective coupling ``c = gamma/(alpha+sigma)``:
-
-    P [ L F - (1+L) 2 c |x1| int_0^inf dv e^{-2 c |x1| v} (v+1)^{1-d} F(..., (v+1)) ]
-
-``beta != 0`` (delta-prime family), with rates ``Lambda_+- `` and the
-diagonal image weights ``M_+-``:
-
-    P [ F + 2 M_+ |x1| int e^{-2 Lambda_+ |x1| v} ... - 2 M_- |x1| int e^{-2 Lambda_- |x1| v} ... ]
+* ``beta = 0`` (delta family), with ``L = (alpha-sigma)/(alpha+sigma) sgn(x1)``
+  and effective coupling ``c = gamma/(alpha+sigma)``: head ``L`` and the
+  image ``(-2(1+L) c, c)``, i.e. a reflecting face of weight ``L``;
+* ``beta != 0`` (delta-prime family), with rates ``Lambda_+-`` and the
+  diagonal image weights ``M_+-``: head 1 and the images
+  ``(2 M_+, Lambda_+)``, ``(-2 M_-, Lambda_-)``.
 
 The two families do not connect continuously; dispatch happens at
 ``|beta| < 1e-12`` and is never blended.  A distinguished feature of the
@@ -22,32 +18,11 @@ divergence: the leading small-``x1`` term vanishes identically.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .core import PolarizationValue, SpectrumReport, fit_laurent_at_zero, sign
-from .errors import (
-    InfraredDivergenceError,
-    NumericalFailureError,
-    ParameterError,
-    SlowDecayWarning,
-)
-from .quadrature import QuadSpec, integrate_semi_infinite
-from .reflecting import (
-    _check_not_pole,
-    _free_term_regularized,
-    _large_x_envelope,
-    _plane_prefactor,
-    _small_x_leading,
-    _w_image_integral,
-    free_term,
-)
-from .specialfns import (
-    EULER_GAMMA,
-    bessel_k_weighted,
-    bessel_k_weighted_scaled,
-    upper_gamma_scaled,
-)
+from . import core
+from .core import ImageSum, PolarizationValue, SpectrumReport, sign
+from .errors import InfraredDivergenceError
 
 __all__ = [
     "SpectrumReport",
@@ -65,16 +40,6 @@ __all__ = [
     "large_x_asymptotic",
     "massless_value",
 ]
-
-_PROD_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
-_ORACLE_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=400)
-
-#: Relative margin (in units of m) below which the Lambda_minus decay rate
-#: triggers a SlowDecayWarning.
-NEAR_THRESHOLD_MARGIN = 1e-3
-
-_CONSISTENCY_TOL = 1e-6
-_LAURENT_EPS = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,8 +70,6 @@ def diagonal_coefficients(bc, x1):
     which satisfies ``1 + M_plus/L_plus - M_minus/L_minus = -1`` whenever
     both rates are nonzero.
     """
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
     L = (bc.alpha - bc.sigma_param) / bc.trace_sum * sign(x1)
     if bc.is_delta_family:
         return DiagonalCoefficients(L=L)
@@ -127,220 +90,55 @@ def spectrum(bc, m):
     ``m^2 - Lambda_-^2`` (iff ``Lambda_- < 0``) and additionally
     ``m^2 - Lambda_+^2`` (iff ``Lambda_+ < 0``).
     """
-    if not m >= 0.0:
-        raise ParameterError(f"mass must be >= 0, got {m}")
     if bc.is_delta_family:
-        r = bc.delta_ratio
-        eigenvalues = (m * m - r * r,) if r < 0.0 else ()
-        positive = r > -m if m > 0.0 else r >= 0.0
-        return SpectrumReport(m * m, eigenvalues, positive)
+        return SpectrumReport.from_rates(m, (bc.delta_ratio,))
     lam_p, lam_m = bc.lambda_pm()
-    eigenvalues = []
-    if lam_m < 0.0:
-        eigenvalues.append(m * m - lam_m * lam_m)
-        if lam_p < 0.0:
-            eigenvalues.append(m * m - lam_p * lam_p)
-    positive = lam_m > -m if m > 0.0 else lam_m >= 0.0
-    return SpectrumReport(
-        m * m,
-        tuple(sorted(eigenvalues)),
-        positive,
-        lambda_plus=lam_p,
-        lambda_minus=lam_m,
-    )
+    return SpectrumReport.from_rates(m, (lam_p, lam_m), lam_p, lam_m)
 
 
-def _rate_integral(d, m, x1, rate, u=0.0, spec=_PROD_SPEC):
-    # int_0^inf dv e^{-2 rate |x| v} (v+1)^{u-d+1} F((d-1-u)/2, 2 m |x| (v+1))
-    ax = abs(x1)
-    nu = 0.5 * (d - 1 - u)
-    power = u - d + 1.0
-    # unit-rate substitution + exp-scaled assembly, as in the reflecting module
-    total_rate = 2.0 * (rate + m) * ax
-    offset = 2.0 * m * ax
-
-    def f(t):
-        expo = -t - offset
-        if expo < -745.0:
-            return 0.0
-        v = t / total_rate
-        w = 2.0 * m * ax * (v + 1.0)
-        return math.exp(expo) * (v + 1.0) ** power * bessel_k_weighted_scaled(nu, w)
-
-    value, _ = integrate_semi_infinite(f, spec)
-    return value / total_rate
+def _images(cfg, bc, x1):
+    # the delta family is head L with the image (-2(1+L)c, c); the
+    # delta-prime family head 1 with (2 M_+, Lambda_+) and (-2 M_-, Lambda_-)
+    coeffs = diagonal_coefficients(bc, x1)
+    bc.check_positive(cfg.m)
+    if bc.is_delta_family:
+        c = bc.delta_ratio
+        return ImageSum(coeffs.L, ((-2.0 * (1.0 + coeffs.L) * c, c),))
+    lam_p, lam_m = bc.lambda_pm()
+    return ImageSum(1.0, ((2.0 * coeffs.M_plus, lam_p), (-2.0 * coeffs.M_minus, lam_m)))
 
 
-def _warn_near_threshold(rate, m):
-    if rate + m < NEAR_THRESHOLD_MARGIN * m:
-        warnings.warn(
-            f"decay rate {rate} is within {NEAR_THRESHOLD_MARGIN:g}*m of the convergence "
-            "boundary -m; quadrature may be slow",
-            SlowDecayWarning,
-            stacklevel=3,
-        )
+def free_term(cfg):
+    """Constant bulk contribution, identical for every boundary condition
+    (:func:`vacpol.core.free_term`)."""
+    return core.free_term(cfg)
 
 
 def plane_term(cfg, bc, x1):
     """Boundary contribution of the semitransparent wall at signed ``x1``."""
-    if not cfg.m > 0.0:
-        raise ParameterError("plane_term needs m > 0; use massless_value for m = 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(cfg.m)
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-    pref = _plane_prefactor(d, x1)
-    head = bessel_k_weighted(0.5 * (d - 1), 2.0 * m * ax)
-    coeffs = diagonal_coefficients(bc, x1)
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-        _warn_near_threshold(c, m)
-        value = coeffs.L * head
-        if c != 0.0:
-            value -= (1.0 + coeffs.L) * 2.0 * c * ax * _rate_integral(d, m, x1, c)
-        return pref * value
-    lam_p, lam_m = bc.lambda_pm()
-    _warn_near_threshold(lam_m, m)
-    value = head
-    if coeffs.M_plus != 0.0:
-        value += 2.0 * coeffs.M_plus * ax * _rate_integral(d, m, x1, lam_p)
-    if coeffs.M_minus != 0.0:
-        value -= 2.0 * coeffs.M_minus * ax * _rate_integral(d, m, x1, lam_m)
-    return pref * value
+    return _images(cfg, bc, x1).plane_term(cfg, x1)
 
 
-def plane_term_oracle(cfg, bc, x1, spec=_ORACLE_SPEC):
+def plane_term_oracle(cfg, bc, x1):
     """Nested proper-time quadrature of the plane part; independent oracle."""
-    if not cfg.m > 0.0:
-        raise ParameterError("plane_term_oracle needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(cfg.m)
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-    coeffs = diagonal_coefficients(bc, x1)
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-        if c < 0.0:
-            warnings.warn(
-                f"oracle integrand decays at reduced rate for bound-state coupling {c} < 0",
-                SlowDecayWarning,
-                stacklevel=2,
-            )
-
-        def bracket(tau):
-            expo = -m * m * tau - ax * ax / tau
-            value = coeffs.L * (math.exp(expo) if expo > -745.0 else 0.0)
-            if c != 0.0:
-                value -= c * (1.0 + coeffs.L) * _w_image_integral(c, ax, tau, spec, m)
-            return value
-    else:
-        lam_p, lam_m = bc.lambda_pm()
-        if lam_m < 0.0:
-            warnings.warn(
-                f"oracle integrand decays at reduced rate for Lambda_minus = {lam_m} < 0",
-                SlowDecayWarning,
-                stacklevel=2,
-            )
-
-        def bracket(tau):
-            expo = -m * m * tau - ax * ax / tau
-            value = math.exp(expo) if expo > -745.0 else 0.0
-            if coeffs.M_plus != 0.0:
-                value += coeffs.M_plus * _w_image_integral(lam_p, ax, tau, spec, m)
-            if coeffs.M_minus != 0.0:
-                value -= coeffs.M_minus * _w_image_integral(lam_m, ax, tau, spec, m)
-            return value
-
-    def integrand(tau):
-        return tau ** (-0.5 * (d + 1)) * bracket(tau)
-
-    value, _ = integrate_semi_infinite(integrand, spec)
-    return value / (2.0 * (4.0 * math.pi) ** (0.5 * d) * math.sqrt(math.pi))
+    return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):
     """Analytic continuation to real ``u`` (same contracts as the
     reflecting version: poles at ``u = d-1-2l``, strip consistency,
     Laurent renormalization)."""
-    if not cfg.m > 0.0:
-        raise ParameterError("regularized_polarization needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(cfg.m)
-    d, m = cfg.d, cfg.m
-    _check_not_pole(d, u)
-    ax = abs(x1)
-    common = (
-        2.0 ** (0.5 * (u - 3 * d + 1))
-        * (cfg.kappa * ax) ** u
-        / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
-    )
-    nu = 0.5 * (d - 1 - u)
-    head = bessel_k_weighted(nu, 2.0 * m * ax)
-    coeffs = diagonal_coefficients(bc, x1)
-    total = _free_term_regularized(cfg, u)
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-        value = coeffs.L * head
-        if c != 0.0:
-            value -= (1.0 + coeffs.L) * 2.0 * c * ax * _rate_integral(d, m, x1, c, u=u)
-        return total + common * value
-    lam_p, lam_m = bc.lambda_pm()
-    value = head
-    if coeffs.M_plus != 0.0:
-        value += 2.0 * coeffs.M_plus * ax * _rate_integral(d, m, x1, lam_p, u=u)
-    if coeffs.M_minus != 0.0:
-        value -= 2.0 * coeffs.M_minus * ax * _rate_integral(d, m, x1, lam_m, u=u)
-    return total + common * value
+    return _images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 
 
-def regularized_polarization_oracle(cfg, bc, x1, u, spec=_ORACLE_SPEC):
+def regularized_polarization_oracle(cfg, bc, x1, u):
     """Direct proper-time representation in the strip ``u > d - 1``."""
-    if not u > cfg.d - 1:
-        raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
-    if not cfg.m > 0.0:
-        raise ParameterError("regularized_polarization_oracle needs m > 0")
-    bc.check_positive(cfg.m)
-    d, m = cfg.d, cfg.m
-    ax = abs(x1)
-    coeffs = diagonal_coefficients(bc, x1)
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-
-        def bracket(tau):
-            mt = m * m * tau
-            value = math.exp(-mt) + coeffs.L * math.exp(-mt - ax * ax / tau)
-            if c != 0.0:
-                value -= c * (1.0 + coeffs.L) * _w_image_integral(c, ax, tau, spec, m)
-            return value
-    else:
-        lam_p, lam_m = bc.lambda_pm()
-
-        def bracket(tau):
-            mt = m * m * tau
-            value = math.exp(-mt) + math.exp(-mt - ax * ax / tau)
-            if coeffs.M_plus != 0.0:
-                value += coeffs.M_plus * _w_image_integral(lam_p, ax, tau, spec, m)
-            if coeffs.M_minus != 0.0:
-                value -= coeffs.M_minus * _w_image_integral(lam_m, ax, tau, spec, m)
-            return value
-
-    def integrand(tau):
-        return tau ** (0.5 * (u - d - 1)) * bracket(tau)
-
-    value, _ = integrate_semi_infinite(integrand, spec)
-    return (
-        cfg.kappa**u
-        / (2.0 * (4.0 * math.pi) ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
-        * value
-    )
+    return _images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
 
 
-def laurent_coefficients(cfg, bc, x1, eps=_LAURENT_EPS):
+def laurent_coefficients(cfg, bc, x1):
     """Laurent data of the continuation at ``u = 0`` (four-point stencil)."""
-    return fit_laurent_at_zero(lambda u: regularized_polarization(cfg, bc, x1, u), eps)
+    return _images(cfg, bc, x1).laurent_coefficients(cfg, x1)
 
 
 def _branch_label(cfg, bc):
@@ -352,23 +150,7 @@ def _branch_label(cfg, bc):
 def renormalize_at_zero(cfg, bc, x1):
     """Regular part at ``u = 0`` cross-checked against the closed forms
     (same contract as the reflecting version)."""
-    free = free_term(cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SlowDecayWarning)
-        plane = plane_term(cfg, bc, x1)
-    if cfg.d % 2 == 0:
-        c0 = regularized_polarization(cfg, bc, x1, 0.0)
-    else:
-        c0 = laurent_coefficients(cfg, bc, x1).c0
-    mismatch = abs(c0 - (free + plane))
-    if mismatch > _CONSISTENCY_TOL:
-        raise NumericalFailureError(
-            f"Laurent regular part disagrees with the closed forms by {mismatch:.3e}",
-            best_estimate=c0,
-            error_bound=mismatch,
-        )
-    notes = tuple(str(w.message) for w in caught)
-    return PolarizationValue.build(free, plane, _branch_label(cfg, bc), notes)
+    return _images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc))
 
 
 def small_x_asymptotic(cfg, bc, x1):
@@ -379,31 +161,13 @@ def small_x_asymptotic(cfg, bc, x1):
     pure delta wall (divergence softening).  ``beta != 0``: coefficient 1,
     coinciding with the reflecting leading term for every ``d``.
     """
-    if not cfg.m > 0.0:
-        raise ParameterError("small_x_asymptotic needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    lead = _small_x_leading(cfg.d, cfg.m, x1)
-    if bc.is_delta_family:
-        return sign(x1) * (bc.alpha - bc.sigma_param) / bc.trace_sum * lead
-    return lead
+    return _images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
 
 
 def large_x_asymptotic(cfg, bc, x1):
     """Leading exponential decay far from the wall (family-specific coupling
     ratio times the shared ``e^{-2m|x1|}/|x1|^{d/2}`` envelope)."""
-    if not cfg.m > 0.0:
-        raise ParameterError("large_x_asymptotic needs m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    m = cfg.m
-    a, s, g, b = bc.alpha, bc.sigma_param, bc.gamma_coupling, bc.beta
-    if bc.is_delta_family:
-        ratio = ((a - s) * m * sign(x1) - g) / ((a + s) * m + g)
-    else:
-        # leading coefficient 1 + M+/(L+ + m) - M-/(L- + m) in closed form
-        ratio = (b * m * m - g + (a - s) * m * sign(x1)) / (g + b * m * m + (a + s) * m)
-    return _large_x_envelope(cfg.d, m, x1) * ratio
+    return _images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
 
 
 def massless_value(cfg, bc, x1):
@@ -422,45 +186,15 @@ def massless_value(cfg, bc, x1):
     only occurs for ``gamma = 0``), so the apparently singular
     ``Gamma(2-d, 0)`` term carries a zero coefficient and is dropped.
     """
-    if cfg.m != 0.0:
-        raise ParameterError("massless_value is the m = 0 entry point; got m > 0")
-    if x1 == 0.0:
-        raise ParameterError("x1 = 0 sits on the wall")
-    bc.check_positive(0.0)
-    d = cfg.d
-    ax = abs(x1)
-    coeffs = diagonal_coefficients(bc, x1)
-    if d == 1:
+    value = _images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
+    if cfg.d == 1:
         if not bc.is_delta_family:
             raise InfraredDivergenceError(
                 "massless d = 1 semitransparent theory is infrared divergent for beta != 0"
             )
-        c = bc.delta_ratio
-        if c == 0.0:
+        if bc.delta_ratio == 0.0:
             raise InfraredDivergenceError(
                 "massless d = 1 delta family with gamma = 0 is infrared divergent "
                 "(Neumann-like)"
             )
-        val = math.log(2.0 * cfg.kappa * ax) - EULER_GAMMA
-        val += (1.0 + coeffs.L) * upper_gamma_scaled(0, 2.0 * c * ax)
-        val /= 2.0 * math.pi
-        return PolarizationValue.build(0.0, val, _branch_label(cfg, bc) + ", massless")
-
-    amp = math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-        bracket = coeffs.L
-        if c != 0.0:
-            w = 2.0 * c * ax
-            bracket -= (1.0 + coeffs.L) * w * upper_gamma_scaled(d - 2, w)
-        # c == 0: w^{d-1} e^w Gamma(2-d, w) -> 0 for every d >= 2
-    else:
-        lam_p, lam_m = bc.lambda_pm()
-        bracket = 1.0
-        if coeffs.M_plus != 0.0:
-            w = 2.0 * lam_p * ax
-            bracket += 2.0 * coeffs.M_plus * ax * upper_gamma_scaled(d - 2, w)
-        if coeffs.M_minus != 0.0:
-            w = 2.0 * lam_m * ax
-            bracket -= 2.0 * coeffs.M_minus * ax * upper_gamma_scaled(d - 2, w)
-    return PolarizationValue.build(0.0, amp * bracket, _branch_label(cfg, bc) + ", massless")
+    return PolarizationValue.build(0.0, value, _branch_label(cfg, bc) + ", massless")

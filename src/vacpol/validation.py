@@ -206,12 +206,11 @@ def check_heatkernel(tol_scale=1.0):
         dxx = (k(tau, x + h) - 2.0 * k(tau, x) + k(tau, x - h)) / (h * h)
         resid = dtau - dxx + m * m * k(tau, x)
         dev = max(dev, abs(resid) / max(abs(dtau), 1e-12))
-    hx = 2e-3  # second x-difference of the quadrature-backed kernel
     for tau, x, y, m in ((0.7, 1.1, 0.4, 0.5), (0.6, -0.8, 0.9, 0.5)):
         bc = hk.SemitransparentBC(1.2, 0.5, 0.4, 1.0)
         k = lambda t, xx: hk.semitransparent_kernel(hk.HeatQuery(t, xx, y), bc, m).real
         dtau = (k(tau + h, x) - k(tau - h, x)) / (2.0 * h)
-        dxx = (k(tau, x + hx) - 2.0 * k(tau, x) + k(tau, x - hx)) / (hx * hx)
+        dxx = (k(tau, x + h) - 2.0 * k(tau, x) + k(tau, x - h)) / (h * h)
         resid = dtau - dxx + m * m * k(tau, x)
         dev = max(dev, abs(resid) / max(abs(dtau), 1e-12))
     results.append(_check("kernel.heat_equation", dev, 1e-4, tol_scale,
@@ -283,6 +282,64 @@ def check_heatkernel(tol_scale=1.0):
 
 
 # ---------------------------------------------------------------------------
+# contracts shared by both geometry modules
+# ---------------------------------------------------------------------------
+
+def _oracle_deviation(mod, grid):
+    """Max relative closed-form vs nested-quadrature gap over ``(d, m, bc, |x1|)``."""
+    dev = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SlowDecayWarning)
+        for d, m, bc, ax in grid:
+            cfg = FieldConfig(d, m)
+            closed = mod.plane_term(cfg, bc, ax)
+            oracle = mod.plane_term_oracle(cfg, bc, ax)
+            dev = max(dev, abs(closed - oracle) / max(abs(closed), 1e-300))
+    return dev
+
+
+def _strip_deviation(mod, cases):
+    """Max relative continuation vs strip-oracle gap over ``(d, bc, u)``."""
+    dev = 0.0
+    for d, bc, u in cases:
+        cfg = FieldConfig(d, 1.0)
+        a1 = mod.regularized_polarization(cfg, bc, 0.7, u)
+        a2 = mod.regularized_polarization_oracle(cfg, bc, 0.7, u)
+        dev = max(dev, abs(a1 - a2) / max(abs(a1), 1e-12))
+    return dev
+
+
+def _laurent_deviations(mod, cases):
+    """Largest even-``d`` pole, odd-``d`` residue error and ``c0`` gap over ``(d, bc)``."""
+    dev_even = dev_res = dev_c0 = 0.0
+    for d, bc in cases:
+        cfg = FieldConfig(d, 1.0)
+        fit = mod.laurent_coefficients(cfg, bc, 0.8)
+        closed = mod.free_term(cfg) + mod.plane_term(cfg, bc, 0.8)
+        if d % 2 == 0:
+            dev_even = max(dev_even, abs(fit.c_m1))
+        else:
+            residue = 1.0 / (2.0 * math.pi) if d == 1 else -cfg.m**2 / (8.0 * math.pi**2)
+            dev_res = max(dev_res, abs(fit.c_m1 - residue))
+        dev_c0 = max(dev_c0, abs(fit.c0 - closed))
+    return dev_even, dev_res, dev_c0
+
+
+def _massless_limit_deviation(mod, cases):
+    """Gap of massive ``free + plane`` to ``massless_value`` at m = 1e-4; 1 if not monotone."""
+    dev = 0.0
+    for d, bc in cases:
+        target = mod.massless_value(FieldConfig(d, 0.0), bc, 1.0).total
+        errs = []
+        for m in (1e-2, 1e-3, 1e-4):
+            cfg = FieldConfig(d, m)
+            errs.append(abs(mod.free_term(cfg) + mod.plane_term(cfg, bc, 1.0) - target))
+        monotone = errs[0] > errs[1] > errs[2]
+        dev = max(dev, errs[-1] if monotone else 1.0)
+    return dev
+
+
+# ---------------------------------------------------------------------------
 # reflecting polarization
 # ---------------------------------------------------------------------------
 
@@ -307,17 +364,10 @@ def check_reflecting(tol_scale=1.0, oracle_grid=None):
     results.append(_check("reflecting.parity", dev, 1e-15, tol_scale))
 
     # oracle equivalence
-    dev = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowDecayWarning)
-        for d, m, b, ax in (oracle_grid or reflecting_oracle_grid()):
-            cfg = FieldConfig(d, m)
-            bc = hk.ReflectingBC.robin(b)
-            closed = rf.plane_term(cfg, bc, ax)
-            oracle = rf.plane_term_oracle(cfg, bc, ax)
-            dev = max(dev, abs(closed - oracle) / abs(closed))
-    results.append(_check("reflecting.oracle_equivalence", dev, 1e-8, tol_scale,
-                          "closed form vs nested proper-time quadrature"))
+    grid = [(d, m, hk.ReflectingBC.robin(b), ax)
+            for d, m, b, ax in (oracle_grid or reflecting_oracle_grid())]
+    results.append(_check("reflecting.oracle_equivalence", _oracle_deviation(rf, grid), 1e-8,
+                          tol_scale, "closed form vs nested proper-time quadrature"))
 
     # Neumann/Dirichlet sandwich and monotonicity in b
     cfg = FieldConfig(3, 1.0)
@@ -331,30 +381,14 @@ def check_reflecting(tol_scale=1.0, oracle_grid=None):
                           "Robin values interpolate monotonically between D and N"))
 
     # strip consistency
-    dev = 0.0
-    for d in (1, 2, 3):
-        cfg = FieldConfig(d, 1.0)
-        bc = hk.ReflectingBC.robin(1.0)
-        for du in (1.0, 1.5, 2.0):
-            u = d - 1 + du
-            a = rf.regularized_polarization(cfg, bc, 0.7, u)
-            b_ = rf.regularized_polarization_oracle(cfg, bc, 0.7, u)
-            dev = max(dev, abs(a - b_) / max(abs(a), 1e-12))
-    results.append(_check("reflecting.strip_consistency", dev, 1e-8, tol_scale))
+    cases = [(d, hk.ReflectingBC.robin(1.0), d - 1 + du) for d in (1, 2, 3) for du in (1.0, 1.5, 2.0)]
+    results.append(_check("reflecting.strip_consistency", _strip_deviation(rf, cases), 1e-8,
+                          tol_scale))
 
     # Laurent contracts
-    dev_even = dev_res = dev_c0 = 0.0
-    for d, bc in ((1, hk.ReflectingBC.robin(1.0)), (2, hk.ReflectingBC.robin(0.5)),
-                  (3, hk.ReflectingBC.neumann())):
-        cfg = FieldConfig(d, 1.0)
-        fit = rf.laurent_coefficients(cfg, bc, 0.8)
-        closed = rf.free_term(cfg) + rf.plane_term(cfg, bc, 0.8)
-        if d % 2 == 0:
-            dev_even = max(dev_even, abs(fit.c_m1))
-        else:
-            residue = 1.0 / (2.0 * math.pi) if d == 1 else -cfg.m**2 / (8.0 * math.pi**2)
-            dev_res = max(dev_res, abs(fit.c_m1 - residue))
-        dev_c0 = max(dev_c0, abs(fit.c0 - closed))
+    dev_even, dev_res, dev_c0 = _laurent_deviations(
+        rf, ((1, hk.ReflectingBC.robin(1.0)), (2, hk.ReflectingBC.robin(0.5)),
+             (3, hk.ReflectingBC.neumann())))
     results.append(_check("reflecting.laurent_even_no_pole", dev_even, 1e-8, tol_scale))
     results.append(_check("reflecting.laurent_residue", dev_res, 1e-6, tol_scale))
     results.append(_check("reflecting.laurent_c0_vs_closed", dev_c0, 1e-6, tol_scale))
@@ -400,16 +434,7 @@ def check_reflecting(tol_scale=1.0, oracle_grid=None):
                           "slope of log(|plane| x^(d/2)) matches -2m within 1%"))
 
     # massless limit convergence for d >= 2
-    dev = 0.0
-    for d in (2, 3):
-        bc = hk.ReflectingBC.robin(1.0)
-        target = rf.massless_value(FieldConfig(d, 0.0), bc, 1.0).total
-        errs = []
-        for m in (1e-2, 1e-3, 1e-4):
-            cfg = FieldConfig(d, m)
-            errs.append(abs(rf.free_term(cfg) + rf.plane_term(cfg, bc, 1.0) - target))
-        monotone = errs[0] > errs[1] > errs[2]
-        dev = max(dev, errs[-1] if monotone else 1.0)
+    dev = _massless_limit_deviation(rf, [(d, hk.ReflectingBC.robin(1.0)) for d in (2, 3)])
     results.append(_check("reflecting.massless_limit", dev, 1e-3, tol_scale))
 
     return results
@@ -467,15 +492,7 @@ def check_semitransparent(tol_scale=1.0, oracle_grid=None):
     results.append(_check("semitransparent.omega_independence", dev, 1e-15, tol_scale))
 
     # oracle equivalence across both families
-    dev = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowDecayWarning)
-        for d, m, bc, ax in (oracle_grid or semitransparent_oracle_grid()):
-            cfg = FieldConfig(d, m)
-            closed = st.plane_term(cfg, bc, ax)
-            oracle = st.plane_term_oracle(cfg, bc, ax)
-            scale = max(abs(closed), 1e-300)
-            dev = max(dev, abs(closed - oracle) / scale)
+    dev = _oracle_deviation(st, oracle_grid or semitransparent_oracle_grid())
     results.append(_check("semitransparent.oracle_equivalence", dev, 1e-8, tol_scale))
 
     # free wall is exactly silent
@@ -507,43 +524,19 @@ def check_semitransparent(tol_scale=1.0, oracle_grid=None):
                           "|x|^(d-1) plane -> 0 for alpha = sigma, nonzero constant otherwise"))
 
     # strip consistency and Laurent contracts
-    dev = 0.0
-    for bc in (hk.SemitransparentBC.delta(2.0), hk.SemitransparentBC.delta_prime(1.0)):
-        for d in (1, 2):
-            cfg = FieldConfig(d, 1.0)
-            u = d + 0.5
-            a1 = st.regularized_polarization(cfg, bc, 0.7, u)
-            a2 = st.regularized_polarization_oracle(cfg, bc, 0.7, u)
-            dev = max(dev, abs(a1 - a2) / max(abs(a1), 1e-12))
+    walls = (hk.SemitransparentBC.delta(2.0), hk.SemitransparentBC.delta_prime(1.0))
+    dev = _strip_deviation(st, [(d, bc, d + 0.5) for bc in walls for d in (1, 2)])
     results.append(_check("semitransparent.strip_consistency", dev, 1e-8, tol_scale))
 
-    dev_even = dev_res = dev_c0 = 0.0
-    for bc in (hk.SemitransparentBC.delta(2.0), hk.SemitransparentBC.delta_prime(1.0)):
-        for d in (1, 2, 3):
-            cfg = FieldConfig(d, 1.0)
-            fit = st.laurent_coefficients(cfg, bc, 0.8)
-            closed = st.free_term(cfg) + st.plane_term(cfg, bc, 0.8)
-            if d % 2 == 0:
-                dev_even = max(dev_even, abs(fit.c_m1))
-            else:
-                residue = 1.0 / (2.0 * math.pi) if d == 1 else -cfg.m**2 / (8.0 * math.pi**2)
-                dev_res = max(dev_res, abs(fit.c_m1 - residue))
-            dev_c0 = max(dev_c0, abs(fit.c0 - closed))
+    dev_even, dev_res, dev_c0 = _laurent_deviations(st, [(d, bc) for bc in walls for d in (1, 2, 3)])
     results.append(_check("semitransparent.laurent_even_no_pole", dev_even, 1e-8, tol_scale))
     results.append(_check("semitransparent.laurent_residue_bc_independent", dev_res, 1e-6, tol_scale))
     results.append(_check("semitransparent.laurent_c0_vs_closed", dev_c0, 1e-6, tol_scale))
 
     # massless limit convergence for d >= 2
-    dev = 0.0
-    for bc in (hk.SemitransparentBC.delta(1.0), hk.SemitransparentBC.delta_prime(1.0)):
-        for d in (2, 3):
-            target = st.massless_value(FieldConfig(d, 0.0), bc, 1.0).total
-            errs = []
-            for m in (1e-2, 1e-3, 1e-4):
-                cfg = FieldConfig(d, m)
-                errs.append(abs(st.free_term(cfg) + st.plane_term(cfg, bc, 1.0) - target))
-            monotone = errs[0] > errs[1] > errs[2]
-            dev = max(dev, errs[-1] if monotone else 1.0)
+    dev = _massless_limit_deviation(st, [
+        (d, bc) for bc in (hk.SemitransparentBC.delta(1.0), hk.SemitransparentBC.delta_prime(1.0))
+        for d in (2, 3)])
     results.append(_check("semitransparent.massless_limit", dev, 1e-3, tol_scale))
 
     return results

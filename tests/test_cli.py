@@ -211,3 +211,20 @@ class TestAsymptotics:
     def test_requires_mass(self):
         out = run_cli("asymptotics", "--d", "2", "--m", "0", "--points", "3")
         assert out.returncode == 2
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["profile", "--d", "2", "--m", "1", "--points", "2", "--output", "json"], 2),
+    (["asymptotics", "--d", "2", "--m", "1", "--points", "2", "--output", "json"], 2),
+    (["heat-kernel", "--tau", "1.0", "--x", "1.0", "--y", "0.5", "--output", "json"], 1),
+])
+def test_rows_follow_redirected_stdout(argv, rows):
+    import contextlib
+    import io
+
+    from vacpol.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert main(argv) == 0
+    assert len(json.loads(buffer.getvalue())["rows"]) == rows

@@ -64,3 +64,67 @@ class TestLaurentFit:
     def test_bad_eps(self):
         with pytest.raises(ParameterError):
             fit_laurent_at_zero(math.exp, eps=0.0)
+
+
+def _x1_entry_points():
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.heatkernel import ReflectingBC, SemitransparentBC
+
+    cfg, cfg0 = FieldConfig(3, 1.0), FieldConfig(3, 0.0)
+    calls = {"reflecting.plane_term_dn": lambda x1: rf.plane_term_dn(cfg, x1, -1),
+             "semitransparent.diagonal_coefficients":
+                 lambda x1: st.diagonal_coefficients(SemitransparentBC.delta_prime(1.0), x1)}
+    for mod, bc in ((rf, ReflectingBC.robin(2.0)), (st, SemitransparentBC.delta_prime(1.0))):
+        name = mod.__name__.rpartition(".")[2]
+        for fn in ("plane_term", "plane_term_oracle", "laurent_coefficients",
+                   "renormalize_at_zero", "small_x_asymptotic", "large_x_asymptotic"):
+            calls[f"{name}.{fn}"] = lambda x1, f=getattr(mod, fn), bc=bc: f(cfg, bc, x1)
+        calls[f"{name}.regularized_polarization"] = (
+            lambda x1, f=mod.regularized_polarization, bc=bc: f(cfg, bc, x1, 0.5))
+        calls[f"{name}.regularized_polarization_oracle"] = (
+            lambda x1, f=mod.regularized_polarization_oracle, bc=bc: f(cfg, bc, x1, 3.5))
+        calls[f"{name}.massless_value"] = lambda x1, f=mod.massless_value, bc=bc: f(cfg0, bc, x1)
+    return calls
+
+
+X1_ENTRY_POINTS = _x1_entry_points()
+
+
+@pytest.mark.parametrize("x1", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("entry", sorted(X1_ENTRY_POINTS))
+def test_bad_x1_is_named_at_the_entry(entry, x1):
+    with pytest.raises(ParameterError, match="x1"):
+        X1_ENTRY_POINTS[entry](x1)
+
+
+def _high_d_near_wall():
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.heatkernel import ReflectingBC, SemitransparentBC
+
+    walls = ((rf, ReflectingBC.neumann()), (rf, ReflectingBC.robin(2.0)),
+             (st, SemitransparentBC.delta_prime(1.0)), (st, SemitransparentBC(2.0, 0.0, 1.0, 0.5)))
+    return [(mod, bc, d) for mod, bc in walls for d in (9, 11)]
+
+
+@pytest.mark.parametrize("mod, bc, d", _high_d_near_wall())
+def test_renormalize_consistency_scales_with_the_value(mod, bc, d):
+    # at |x1| = 0.05 these values reach 1e5..1e8; an absolute 1e-6 bound
+    # used to reject their 1e-12 relative Laurent rounding
+    cfg = FieldConfig(d, 1.0)
+    value = mod.renormalize_at_zero(cfg, bc, 0.05)
+    assert abs(value.total) > 1e5
+    assert value.plane_term == mod.plane_term(cfg, bc, 0.05)
+
+
+@pytest.mark.parametrize("mod, bc, d", _high_d_near_wall()[::3])
+def test_renormalize_consistency_still_rejects_relative_mismatch(monkeypatch, mod, bc, d):
+    from vacpol import core
+    from vacpol.errors import NumericalFailureError
+
+    exact = core.ImageSum.regularized_polarization
+    monkeypatch.setattr(core.ImageSum, "regularized_polarization",
+                        lambda self, cfg, x1, u: exact(self, cfg, x1, u) * (1.0 + 1e-5))
+    with pytest.raises(NumericalFailureError):
+        mod.renormalize_at_zero(FieldConfig(d, 1.0), bc, 0.05)

@@ -5,9 +5,9 @@
 Exit codes: 0 success, 1 validation failures, 2 invalid parameters or
 positivity violation, 3 infrared divergence, 4 numerical failure.
 
-Output is deterministic: rows come in ascending ``x1`` order, and every
-float is printed in its shortest round-trip decimal form.  An optional ``--config FILE`` reads
-``key=value`` lines (keys are the long flag names); explicit flags win.
+Output is deterministic: rows come in ascending ``x1`` order and every
+float is printed in its shortest round-trip decimal form.  ``--config FILE``
+reads ``key=value`` lines (keys are the long flag names); explicit flags win.
 """
 
 import argparse

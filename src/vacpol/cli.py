@@ -5,15 +5,17 @@
 Exit codes: 0 success, 1 validation failures, 2 invalid parameters or
 positivity violation, 3 infrared divergence, 4 numerical failure.
 
-Output is deterministic: rows come in ascending ``x1`` order and every
-float is printed in its shortest round-trip decimal form.  ``--config FILE``
-reads ``key=value`` lines (keys are the long flag names); explicit flags win.
+Output is deterministic: grid points are evaluated concurrently but rows
+are assembled in ascending ``x1`` order, and every float is printed in its
+shortest round-trip decimal form.  An optional ``--config FILE`` reads
+``key=value`` lines (keys are the long flag names); explicit flags win.
 """
 
 import argparse
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -207,7 +209,8 @@ def cmd_profile(args):
     unknown = [c for c in columns if c not in PROFILE_COLUMNS]
     if unknown:
         raise ParameterError(f"unknown columns {unknown}; available: {','.join(PROFILE_COLUMNS)}")
-    rows = [_profile_row_reporting(mod, cfg, bc, x) for x in xs]
+    with ThreadPoolExecutor() as pool:
+        rows = list(pool.map(lambda x: _profile_row_reporting(mod, cfg, bc, x), xs))
     meta = _meta_from(args, ("geometry", "d", "m", "kappa", "x_min", "x_max",
                              "points", "spacing", "sides"))
     if args.geometry == "reflecting":

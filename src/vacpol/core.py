@@ -168,16 +168,17 @@ def fit_laurent_at_zero(f, eps=1e-3):
     return LaurentFit(c_m1, c0, c1, c2, eps)
 
 
-def sign(x):
-    """Sign of a wall distance ``x1``, the entry check of every observable:
-    the wall itself (where the observable diverges) and non-finite values raise."""
+def sign(x, name="x1"):
+    """Sign of a wall distance, the entry check of every observable: the wall
+    itself (where the observable is singular) and non-finite values raise a
+    :class:`ParameterError` naming the argument ``name``."""
     if not math.isfinite(x):
-        raise ParameterError(f"x1 must be a finite distance from the wall, got {x}")
+        raise ParameterError(f"{name} must be a finite distance from the wall, got {x}")
     if x > 0.0:
         return 1.0
     if x < 0.0:
         return -1.0
-    raise ParameterError("x1 = 0 sits on the wall; the observable diverges there")
+    raise ParameterError(f"{name} = 0 sits on the wall, where the observable is singular")
 
 
 def gaussian_free_factor(d):

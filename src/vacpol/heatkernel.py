@@ -65,17 +65,18 @@ def _check_rate(name, rate, m):
 
 @dataclass(frozen=True)
 class HeatQuery:
-    """One kernel evaluation point; the wall point ``x1 = 0`` is excluded."""
+    """One kernel evaluation point: a finite ``tau > 0`` and finite
+    coordinates off the wall point ``0``."""
 
     tau: float
     x1: float
     y1: float
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
-        if self.x1 == 0.0 or self.y1 == 0.0:
-            raise ParameterError("kernel arguments must avoid the wall point x1 = 0")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
+        sign(self.x1, "x1")
+        sign(self.y1, "y1")
 
 
 @dataclass(frozen=True)

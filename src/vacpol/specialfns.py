@@ -1,20 +1,25 @@
-r"""Self-contained special functions for the vacuum-polarization formulas.
+r"""Special functions for the vacuum-polarization formulas.
 
 Everything downstream is expressed through four ingredients:
 
 * the weighted modified Bessel function of the second kind
   ``w**nu * K_nu(w)`` (finite and nonzero at ``w = 0`` for ``nu > 0``),
+  from ``scipy.special.kve`` with closed forms where ``kve`` does not serve;
 * the upper incomplete Gamma function ``Gamma(a, z)`` for ``a <= 2``,
-  including negative integer ``a``,
-* the error function,
+  including negative integer ``a``, hand-written because ``scipy.special``
+  has no upper Gamma for ``a < 0`` and ``exp(w) * exp1(w)`` overflows
+  past ``w ~ 700``;
+* the error function and the scaled ``erfcx`` (libm and ``scipy.special``);
 * harmonic numbers and the Euler-Mascheroni constant.
 
-Accuracy targets (verified against 30-digit reference values):
+Accuracy targets (verified against 30-digit reference values in
+``tests/test_highprecision_crosscheck.py``):
 
 ==========================  =======================================  =========
 function                    domain                                   rel. err
 ==========================  =======================================  =========
-``bessel_k_weighted``       ``nu in [0, 10]``, ``w in [1e-6, 50]``   <= 1e-12
+``bessel_k_weighted``       ``|nu| <= 50``, every ``w > 0`` whose    <= 1e-12
+                            value is in double range
 ``upper_gamma``             ``a in [-20, 2]``, ``z > 0``             <= 1e-10
 ``upper_gamma`` (a <= -10)  deep downward recurrence, ``z <= 1``     <= 1e-8
 ``erf`` / ``erfc``          all finite arguments (libm)              <= 1e-14
@@ -25,6 +30,9 @@ All functions are pure and stateless; concurrent calls are safe.
 
 import math
 import warnings
+
+from scipy.special import erfcx as _erfcx
+from scipy.special import exprel, kve
 
 from .errors import ParameterError, UnderflowToZeroWarning
 
@@ -51,42 +59,20 @@ UNDERFLOW_ARG = 705.0
 
 _MAX_ORDER = 50.0
 
-# Odd Taylor coefficients a1, a3, a5, ... of 1/Gamma(1+x); used for the
-# removable singularity (Gamma(1-mu)^-1 - Gamma(1+mu)^-1)/(2 mu) at mu -> 0.
-_RGAMMA_ODD = (
-    0.5772156649015328606,
-    -0.04200263503409523553,
-    -0.04219773455554433675,
-    0.007218943246663099542,
-    -0.0002152416741149509728,
-    -2.0134854780788238656e-05,
-    1.1330272319816958824e-06,
-)
+# kve turns nan above about 1.07e9; Hankel's expansion takes over here.
+_HANKEL_ARG = 1e9
+
+# A small argument at which kve is still finite for every order below 1/2.
+_KVE_ANCHOR = 1e-300
 
 erf = math.erf
 erfc = math.erfc
 
 
 def erfcx(x):
-    """Scaled complementary error function ``exp(x**2) * erfc(x)``.
-
-    Stable for arbitrarily large positive ``x`` (asymptotic series beyond
-    ``x = 20``, where the direct product would underflow/overflow).
-    """
-    if x < 0.0:
-        return 2.0 * math.exp(x * x) - erfcx(-x)
-    if x < 20.0:
-        return math.exp(x * x) * math.erfc(x)
-    # erfcx(x) = 1/(x sqrt(pi)) * sum_k (-1)^k (2k-1)!!/(2 x^2)^k
-    inv2x2 = 1.0 / (2.0 * x * x)
-    term = 1.0
-    acc = 1.0
-    for k in range(1, 30):
-        term *= -(2 * k - 1) * inv2x2
-        acc += term
-        if abs(term) < 1e-17:
-            break
-    return acc / (x * math.sqrt(math.pi))
+    """Scaled complementary error function ``exp(x**2) * erfc(x)``, stable for
+    arbitrarily large positive ``x`` (``scipy.special.erfcx``)."""
+    return float(_erfcx(x))
 
 
 def harmonic_number(ell):
@@ -100,125 +86,62 @@ def harmonic_number(ell):
 # weighted Bessel K
 # ---------------------------------------------------------------------------
 
-def _gamma_pair(mu):
-    # gam1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu), gam2 = their mean.
-    gampl = 1.0 / math.gamma(1.0 + mu)
-    gammi = 1.0 / math.gamma(1.0 - mu)
-    if abs(mu) < 0.05:
-        # direct difference loses ~5 digits near mu = 0; use the series
-        mu2 = mu * mu
-        gam1 = 0.0
-        for a in reversed(_RGAMMA_ODD):
-            gam1 = gam1 * mu2 + a
-        gam1 = -gam1
-    else:
-        gam1 = (gammi - gampl) / (2.0 * mu)
-    return gam1, 0.5 * (gammi + gampl), gampl, gammi
-
-
-def _temme_k_pair(mu, x):
-    # K_mu(x) and K_{mu+1}(x) for |mu| <= 1/2 and 0 < x <= 2, by the
-    # uniformly convergent small-argument series (Temme's method).
-    x2 = 0.5 * x
-    pimu = math.pi * mu
-    if abs(pimu) < 1e-4:
-        p2 = pimu * pimu
-        fact = 1.0 + p2 / 6.0 + 7.0 * p2 * p2 / 360.0
-    else:
-        fact = pimu / math.sin(pimu)
-    d = -math.log(x2)
-    e = mu * d
-    if abs(e) < 1e-4:
-        e2 = e * e
-        fact2 = 1.0 + e2 / 6.0 + e2 * e2 / 120.0
-    else:
-        fact2 = math.sinh(e) / e
-    gam1, gam2, gampl, gammi = _gamma_pair(mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    total = ff
-    e = math.exp(e)
-    p = 0.5 * e / gampl
-    q = 0.5 / (e * gammi)
-    c = 1.0
-    d2 = x2 * x2
-    total1 = p
-    for i in range(1, 1000):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= d2 / i
-        p /= (i - mu)
-        q /= (i + mu)
-        delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * 1e-17:
-            break
-    return total, total1 * (2.0 / x)
-
-
-def _steed_k_pair_scaled(mu, x):
-    # e^x K_mu(x) and e^x K_{mu+1}(x) for |mu| <= 1/2 and x > 2, by Steed's
-    # continued fraction (CF2) evaluated with the Thompson-Barnett scheme.
-    b = 2.0 * (1.0 + x)
-    d = 1.0 / b
-    h = delh = d
-    q1 = 0.0
-    q2 = 1.0
-    a1 = 0.25 - mu * mu
-    q = c = a1
-    a = -a1
-    s = 1.0 + q * delh
-    for i in range(2, 10000):
-        a -= 2 * (i - 1)
-        c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
-        b += 2.0
-        d = 1.0 / (b + a * d)
-        delh = (b * d - 1.0) * delh
-        h += delh
-        dels = q * delh
-        s += dels
-        if abs(dels / s) < 1e-16:
-            break
-    h = a1 * h
-    kmu = math.sqrt(math.pi / (2.0 * x)) / s
-    return kmu, kmu * (mu + x + 0.5 - h) / x
-
-
-def _half_integer_weighted_scaled(n, w):
-    # e^w w^(n+1/2) K_{n+1/2}(w) = sqrt(pi/2) sum_j (n+j)!/(j!(n-j)!) w^(n-j)/2^j
-    acc = 0.0
-    cj = 1.0
-    for j in range(n + 1):
-        acc += cj * w ** (n - j) / 2.0**j
-        cj *= (n + j + 1) * (n - j) / (j + 1.0)
-    return math.sqrt(math.pi / 2.0) * acc
+def _small_w_scaled(nu, w):
+    # e^w w^nu K_nu(w), nu >= 0, where kve overflows: the true K is past
+    # double range (large nu), or w is below kve's own floor near 2e-305.
+    # The leading two terms of the small-w series are exact to double
+    # precision there.
+    if nu < 0.5:
+        # Only below the floor.  Up to O(w^2), w^nu K_nu = a + b w^(2 nu), so
+        # step from the anchor with b (w^(2nu) - w1^(2nu)) in a form that
+        # stays finite and free of cancellation down to nu = 0.
+        log_ratio = math.log(w / _KVE_ANCHOR)
+        step = (2.0**-nu * math.gamma(1.0 - nu) * _KVE_ANCHOR ** (2.0 * nu)
+                * log_ratio * float(exprel(2.0 * nu * log_ratio)))
+        return float(kve(nu, _KVE_ANCHOR)) * _KVE_ANCHOR**nu - step
+    # the w^2 term matters near nu = 50, where kve overflows below w ~ 2.5e-5
+    lead = 2.0 ** (nu - 1.0) * math.gamma(nu) * math.exp(w)
+    return lead * (1.0 - w * w / (4.0 * nu - 4.0)) if nu > 1.0 else lead
 
 
 def _k_weighted_scaled_core(nu, w):
-    # e^w w^nu K_nu(w) for nu >= 0; shared by the scaled and plain entry points
-    two_nu = 2.0 * nu
-    if two_nu == math.floor(two_nu) and int(two_nu) % 2 == 1:
-        return _half_integer_weighted_scaled(int(two_nu) // 2, w)
-    n = int(nu + 0.5)
-    mu = nu - n
-    if w <= 2.0:
-        kmu, kmu1 = _temme_k_pair(mu, w)
-        scale = math.exp(w)
-        kmu *= scale
-        kmu1 *= scale
-    else:
-        kmu, kmu1 = _steed_k_pair_scaled(mu, w)
-    prev = w**mu * kmu
-    if n == 0:
-        return prev
-    cur = w ** (mu + 1.0) * kmu1
-    w2 = w * w
-    for j in range(1, n):
-        prev, cur = cur, 2.0 * (mu + j) * cur + w2 * prev
-    return cur
+    # e^w w^nu K_nu(w), K even in nu; inf or OverflowError past double range
+    order = abs(nu)
+    if w > _HANKEL_ARG:
+        # kve returns nan out here; three Hankel terms reach double precision
+        # for |nu| <= 50
+        mu = 4.0 * nu * nu
+        z = 8.0 * w
+        series = 1.0 + (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)
+        return math.sqrt(0.5 * math.pi) * series * w ** (nu - 0.5)
+    k = float(kve(order, w))
+    if math.isinf(k):
+        # w**(nu - order) is 1 for nu >= 0 and the weight of a negative order
+        return _small_w_scaled(order, w) * w ** (nu - order)
+    try:
+        return k * w**nu
+    except OverflowError:
+        # w**nu alone is past range (|nu| near 50, w above 1e6); the product may not be
+        half = w ** (0.5 * nu)
+        return k * half * half
+
+
+def _weighted(name, nu, w, factor):
+    # factor * e^w w^nu K_nu(w), or ParameterError past double range
+    try:
+        value = _k_weighted_scaled_core(nu, w) * factor
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise ParameterError(f"{name} is past double range at nu={nu}, w={w}")
+    return value
+
+
+def _check_order_and_argument(name, nu, w):
+    if not w > 0.0:
+        raise ParameterError(f"{name} requires w > 0, got w={w}")
+    if not abs(nu) <= _MAX_ORDER:
+        raise ParameterError(f"{name} supports |nu| <= {_MAX_ORDER}, got nu={nu}")
 
 
 def bessel_k_weighted(nu, w):
@@ -228,12 +151,11 @@ def bessel_k_weighted(nu, w):
     ``nu > 0`` the value tends to ``2**(nu-1) Gamma(nu)`` as ``w -> 0``,
     while for ``nu = 0`` it grows like ``-log(w/2) - EULER_GAMMA``.
 
-    Half-integer orders use the closed elementary form
-    ``sqrt(pi/2) e^-w sum_j (n+j)!/(j!(n-j)!) w^(n-j)/2^j``.  All other
-    orders are reduced to ``|mu| <= 1/2`` plus the stable upward
-    recurrence ``F_{nu+1} = 2 nu F_nu + w^2 F_{nu-1}``; the seed pair
-    comes from Temme's series for ``w <= 2`` and from Steed's continued
-    fraction for ``w > 2``.
+    The value is ``scipy.special.kve(nu, w) * w**nu * exp(-w)``.  Two
+    ranges that ``kve`` does not serve are closed in form: beyond
+    ``w = 1e9`` the first three terms of Hankel's expansion, and where
+    ``kve`` overflows (large orders at small ``w``, or any order below
+    ``w ~ 2e-305``) the leading two terms of the small-``w`` series.
 
     Parameters
     ----------
@@ -253,15 +175,10 @@ def bessel_k_weighted(nu, w):
     Raises
     ------
     ParameterError
-        If ``w <= 0`` or ``|nu| > 50``.
+        If ``w <= 0``, if ``|nu| > 50`` or ``nu`` is NaN, or if the value
+        is past double range (a large negative order at small ``w``).
     """
-    if not w > 0.0:
-        raise ParameterError(f"bessel_k_weighted requires w > 0, got w={w}")
-    if abs(nu) > _MAX_ORDER:
-        raise ParameterError(f"bessel_k_weighted supports |nu| <= {_MAX_ORDER}, got nu={nu}")
-    if nu < 0.0:
-        # K is even in the order; only the weight changes
-        return bessel_k_weighted(-nu, w) * w ** (2.0 * nu)
+    _check_order_and_argument("bessel_k_weighted", nu, w)
     if w > UNDERFLOW_ARG:
         warnings.warn(
             "bessel_k_weighted argument beyond the exp(-w) underflow floor; "
@@ -270,7 +187,7 @@ def bessel_k_weighted(nu, w):
             stacklevel=2,
         )
         return 0.0
-    return _k_weighted_scaled_core(nu, w) * math.exp(-w)
+    return _weighted("bessel_k_weighted", nu, w, math.exp(-w))
 
 
 def bessel_k_weighted_scaled(nu, w):
@@ -280,15 +197,12 @@ def bessel_k_weighted_scaled(nu, w):
     Grows only algebraically (like ``w**(nu - 1/2)``) at large arguments,
     so products with extraneous exponentials can be assembled in a single
     ``exp`` call without intermediate under/overflow.  Same accuracy and
-    order range as :func:`bessel_k_weighted`.
+    order range as :func:`bessel_k_weighted`; raises
+    :class:`~vacpol.errors.ParameterError` where the value is past double
+    range (large orders at huge ``w``, large negative orders at small ``w``).
     """
-    if not w > 0.0:
-        raise ParameterError(f"bessel_k_weighted_scaled requires w > 0, got w={w}")
-    if abs(nu) > _MAX_ORDER:
-        raise ParameterError(f"bessel_k_weighted_scaled supports |nu| <= {_MAX_ORDER}, got nu={nu}")
-    if nu < 0.0:
-        return bessel_k_weighted_scaled(-nu, w) * w ** (2.0 * nu)
-    return _k_weighted_scaled_core(nu, w)
+    _check_order_and_argument("bessel_k_weighted_scaled", nu, w)
+    return _weighted("bessel_k_weighted_scaled", nu, w, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Golden-grid gate: the public observables of both wall families, pinned.
 
 ``golden_grid.json`` holds the values the library returned on a fixed grid
-of walls, dimensions and signed distances, together with the commit that
-produced them.  Any refactor of the closed forms must reproduce them to
+of walls, dimensions and signed distances, together with the commit of the
+latest (re-)pin.  Any refactor of the closed forms must reproduce them to
 1e-13 relative (exactly where the pinned value is 0), and must raise the
 same error type wherever the pinned run raised.  The one exception is
 ``renormalize_at_zero``: a point where the pinned run failed its
 consistency check may now succeed, so those points are not compared.
 
-Regenerate the file (only when an output is meant to change) with
+Re-pin the file (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every key that this gate rejects (old value, new value,
+relative change) and replaces only those values, so that each re-pin can be
+reviewed and every other value keeps the pin it had.
 """
 
 import json
@@ -141,6 +145,18 @@ def _mismatch(pinned, got):
     return None if rel <= RTOL else f"pinned {pinned!r}, got {got!r} (rel {rel:.2e})"
 
 
+def _differences(pinned, got):
+    """``{key: description}`` of every pinned outcome that ``got`` fails to reproduce."""
+    found = {}
+    for key, value in pinned.items():
+        if key.startswith("renormalize/") and value == {"error": "NumericalFailureError"}:
+            continue  # a pinned consistency failure may now succeed
+        bad = _mismatch(value, got[key])
+        if bad:
+            found[key] = bad
+    return found
+
+
 @pytest.fixture(scope="module")
 def pinned():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))["values"]
@@ -151,13 +167,7 @@ def test_golden_grid(pinned, quantity):
     got = compute(quantity)
     expected = {k: v for k, v in pinned.items() if k.split("/")[0] == quantity}
     assert set(got) == set(expected)
-    failures = []
-    for key, value in expected.items():
-        if quantity == "renormalize" and value == {"error": "NumericalFailureError"}:
-            continue  # a pinned consistency failure may now succeed
-        bad = _mismatch(value, got[key])
-        if bad:
-            failures.append(f"{key}: {bad}")
+    failures = [f"{key}: {bad}" for key, bad in _differences(expected, got).items()]
     assert not failures, f"{len(failures)} of {len(expected)} differ:\n" + "\n".join(failures[:20])
 
 
@@ -167,6 +177,13 @@ if __name__ == "__main__":
     values = {}
     for quantity in QUANTITIES:
         values.update(compute(quantity))
+    old = json.loads(GOLDEN.read_text(encoding="utf-8"))["values"] if GOLDEN.exists() else {}
+    moved = _differences({key: value for key, value in old.items() if key in values}, values)
+    for key, bad in sorted(moved.items()):
+        print(f"{key}: {bad}")
+    print(f"{len(moved)} of {len(values)} pinned values re-pinned (differ by more than {RTOL:g})")
+    values = {key: old[key] if key in old and key not in moved else value
+              for key, value in values.items()}
     payload = {"commit": commit, "rtol": RTOL, "values": values}
     GOLDEN.write_text(json.dumps(payload, indent=0, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(values)} values from {commit} to {GOLDEN}")

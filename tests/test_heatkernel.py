@@ -28,6 +28,23 @@ class TestTypes:
         with pytest.raises(ParameterError):
             HeatQuery(1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("tau", (math.nan, 1.0, 1.0)),
+            ("tau", (math.inf, 1.0, 1.0)),
+            ("x1", (1.0, math.nan, 1.0)),
+            ("x1", (1.0, math.inf, 1.0)),
+            ("x1", (1.0, -math.inf, 1.0)),
+            ("y1", (1.0, 1.0, math.nan)),
+            ("y1", (1.0, 1.0, -math.inf)),
+            ("y1", (1.0, 1.0, 0.0)),
+        ],
+    )
+    def test_heat_query_names_the_bad_field(self, field, args):
+        with pytest.raises(ParameterError, match=f"^{field} "):
+            HeatQuery(*args)
+
     def test_reflecting_positivity(self):
         ReflectingBC(-0.5, 2.0).check_positive(1.0)
         with pytest.raises(ParameterError):

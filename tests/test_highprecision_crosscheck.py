@@ -5,6 +5,7 @@ extra); they pin the special-function accuracy claims on a random grid
 rather than a handful of frozen literals.
 """
 
+import functools
 import math
 import random
 
@@ -12,7 +13,15 @@ import pytest
 
 mpmath = pytest.importorskip("mpmath")
 
-from vacpol.specialfns import bessel_k_weighted, upper_gamma, upper_gamma_scaled
+from vacpol import reflecting as rf
+from vacpol.core import FieldConfig
+from vacpol.heatkernel import DIRICHLET, ReflectingBC
+from vacpol.specialfns import (
+    bessel_k_weighted,
+    bessel_k_weighted_scaled,
+    upper_gamma,
+    upper_gamma_scaled,
+)
 
 mpmath.mp.dps = 30
 
@@ -56,3 +65,111 @@ def test_upper_gamma_scaled_random_grid():
         )
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-11, worst
+
+
+def _weighted_bessel_mp(nu, w, scaled=False):
+    nu, w = mpmath.mpf(nu), mpmath.mpf(w)
+    value = w**nu * mpmath.besselk(nu, w)
+    return value * mpmath.exp(w) if scaled else value
+
+
+def _worst_relative_error(fn, cases, scaled=False):
+    worst = 0.0
+    for nu, w in cases:
+        ref = _weighted_bessel_mp(nu, w, scaled)
+        worst = max(worst, float(abs(fn(nu, w) - ref) / abs(ref)))
+    return worst
+
+
+def test_weighted_bessel_beyond_1e9():
+    # Hankel's expansion takes over from the scipy kernel above w = 1e9
+    rng = random.Random(184)
+    cases = [(rng.uniform(-20.0, 20.0), 10 ** rng.uniform(9, 13)) for _ in range(100)]
+    cases += [(0.5, 2.3e10), (0.0, 1e13), (20.0, 1e13), (34.0, 1.0000001e9), (-30.0, 1.0000001e9)]
+    assert _worst_relative_error(bessel_k_weighted_scaled, cases, scaled=True) < 1e-12
+
+
+def test_weighted_bessel_where_k_overflows():
+    # K_nu(w) itself is past double range, w^nu K_nu(w) is not
+    rng = random.Random(185)
+    cases = [(10.0, 1e-30), (50.0, 1e-6), (2.5, 1e-300), (50.0, 2.4e-5), (47.0, 9e-6), (2.0, 1e-160)]
+    while len(cases) < 80:
+        nu, w = rng.uniform(2.0, 50.0), 10 ** rng.uniform(-300, -4)
+        if mpmath.besselk(nu, w) > mpmath.mpf(2) ** 1024:
+            cases.append((nu, w))
+    assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
+
+
+def test_weighted_bessel_below_the_scipy_floor():
+    # scipy's kve returns inf below w ~ 2e-305 for every order
+    rng = random.Random(186)
+    cases = [(rng.uniform(0.0, 50.0), 10 ** rng.uniform(-323, -305)) for _ in range(60)]
+    cases += [(nu, w) for nu in (0.0, 1e-9, 0.3, 0.5, 1.0) for w in (5e-324, 1e-310, 2e-305)]
+    assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
+
+
+def test_weighted_bessel_high_orders():
+    rng = random.Random(187)
+    cases = [(rng.uniform(10.0, 50.0), 10 ** rng.uniform(-6, math.log10(700))) for _ in range(150)]
+    cases += [(-rng.uniform(10.0, 50.0), 10 ** rng.uniform(-1, math.log10(50))) for _ in range(50)]
+    cases += [(50.0, 1e-3), (50.0, 700.0), (49.5, 3.0)]
+    assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _robin_bracket_mp(b, d, ax, u):
+    """``F(nu, 2|x1|) + (-4b) |x1| I(b)`` of a Robin face ``b`` at ``m = 1``, in mpmath."""
+    ax, u, rate = mpmath.mpf(ax), mpmath.mpf(u), mpmath.mpf(b)
+    nu = (d - 1 - u) / 2
+    scale = 2 * (rate + 1) * ax
+
+    def f(t):
+        v = t / scale
+        return mpmath.exp(-2 * rate * ax * v) * (v + 1) ** (u + 1 - d) * _weighted_bessel_mp(nu, 2 * ax * (v + 1))
+
+    return _weighted_bessel_mp(nu, 2 * ax) - 4 * rate * ax * mpmath.quad(f, [0, mpmath.inf]) / scale
+
+
+def _plane_mp(b, d, ax):
+    prefactor = 1 / (mpmath.mpf(2) ** (mpmath.mpf(3 * d - 1) / 2) * mpmath.pi ** (mpmath.mpf(d + 1) / 2)
+                     * mpmath.mpf(ax) ** (d - 1))
+    return prefactor * _robin_bracket_mp(b, d, ax, 0)
+
+
+def _regularized_mp(b, d, ax, u):
+    ax, u = mpmath.mpf(ax), mpmath.mpf(u)
+    free = mpmath.gamma((u - d + 1) / 2) / (2 ** (d + 1) * mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma((u + 1) / 2))
+    common = 2 ** ((u - 3 * d + 1) / 2) * ax**u / (mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma((u + 1) / 2)
+                                                   * ax ** (d - 1))
+    return free + common * _robin_bracket_mp(b, d, float(ax), float(u))
+
+
+# Golden-grid points whose coupling integral cancels strongly against the head
+# term (by up to 1800x at d = 9), so the plane value carries the quadrature's
+# 1e-12 target amplified: (golden key, observable, wall, d, x1, u).
+_WALLS = {"robin_2": ReflectingBC.robin(2.0), "dirichlet_robin": ReflectingBC(DIRICHLET, 2.0),
+          "robin_pm": ReflectingBC(1.5, -0.4)}
+_CANCELLING_GOLDEN_POINTS = [
+    (f"{quantity}/{wall}/d{d}/x{x1!r}", quantity, wall, d, x1, None)
+    for quantity in ("plane_term", "renormalize")
+    for wall, d, x1 in (("robin_2", 5, -1.4), ("robin_2", 5, 1.4), ("dirichlet_robin", 5, -1.4),
+                        ("robin_pm", 3, 1.4), ("robin_pm", 9, 5.0))
+] + [
+    (f"regularized/robin_pm/d{d}/x0.05/u{u!r}", "regularized", "robin_pm", d, 0.05, u)
+    for d, u in ((1, -0.5), (2, 0.5))
+]
+
+
+@pytest.mark.parametrize("key, quantity, wall, d, x1, u", _CANCELLING_GOLDEN_POINTS,
+                         ids=[point[0] for point in _CANCELLING_GOLDEN_POINTS])
+def test_cancelling_golden_points_against_mpmath(key, quantity, wall, d, x1, u):
+    # the production quadrature target (core._PROD_SPEC) is 1e-12 relative
+    cfg, bc = FieldConfig(d, 1.0), _WALLS[wall]
+    b = bc.side(x1)
+    if quantity == "plane_term":
+        got, ref = rf.plane_term(cfg, bc, x1), _plane_mp(b, d, abs(x1))
+    elif quantity == "renormalize":
+        got, ref = rf.renormalize_at_zero(cfg, bc, x1).plane_term, _plane_mp(b, d, abs(x1))
+    else:
+        got, ref = rf.regularized_polarization(cfg, bc, x1, u), _regularized_mp(b, d, abs(x1), u)
+    assert float(abs(got - ref) / abs(ref)) < 1e-12

@@ -73,6 +73,15 @@ class TestPlaneTerm:
             plane_term_oracle(cfg, bc, 0.5), rel=1e-8
         )
 
+    @pytest.mark.parametrize("d", (5, 8, 11))
+    def test_oracle_agreement_robin_high_d(self, d):
+        # the validation oracle grid stops at d = 4; spot checks up to d = 11
+        cfg = FieldConfig(d, 1.0)
+        bc = ReflectingBC.robin(1.0)
+        assert plane_term(cfg, bc, 0.5) == pytest.approx(
+            plane_term_oracle(cfg, bc, 0.5), rel=1e-8
+        )
+
     def test_huge_coupling_approaches_dirichlet(self):
         cfg = FieldConfig(3, 1.0)
         got = plane_term(cfg, ReflectingBC.robin(1e6), 1.0)

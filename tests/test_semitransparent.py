@@ -122,6 +122,15 @@ class TestPlaneTerm:
             plane_term_oracle(cfg, bc, 1.0), rel=1e-8
         )
 
+    @pytest.mark.parametrize("d", (5, 8, 11))
+    def test_delta_prime_oracle_high_d(self, d):
+        # the validation oracle grid stops at d = 3; spot checks up to d = 11
+        cfg = FieldConfig(d, 1.0)
+        bc = SemitransparentBC.delta_prime(1.0)
+        assert plane_term(cfg, bc, 0.5) == pytest.approx(
+            plane_term_oracle(cfg, bc, 0.5), rel=1e-8
+        )
+
     def test_near_threshold_bound_state_converges(self):
         # gamma/(alpha+sigma) = -m/2 sits halfway to the positivity boundary
         cfg = FieldConfig(2, 1.0)

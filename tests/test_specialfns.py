@@ -111,6 +111,30 @@ class TestWeightedBesselK:
             bessel_k_weighted(1.0, -2.0)
         with pytest.raises(ParameterError):
             bessel_k_weighted(51.0, 1.0)
+        with pytest.raises(ParameterError):
+            bessel_k_weighted(math.nan, 1.0)
+
+    @pytest.mark.parametrize(
+        "fn, nu, w",
+        [
+            (bessel_k_weighted, -3.0, 1e-120),
+            (bessel_k_weighted_scaled, -3.0, 1e-120),
+            (bessel_k_weighted_scaled, 50.0, 1e13),
+            (bessel_k_weighted_scaled, 50.0, 1.8e6),
+        ],
+    )
+    def test_past_double_range_is_a_parameter_error(self, fn, nu, w):
+        with pytest.raises(ParameterError, match=r"nu=.*w="):
+            fn(nu, w)
+
+    def test_representable_edge_values_do_not_raise(self):
+        # w**nu alone overflows here, the product does not
+        assert math.isfinite(bessel_k_weighted_scaled(50.0, 1.5e6))
+        # K_50 overflows, the weighted value does not
+        assert bessel_k_weighted(50.0, 1e-6) == pytest.approx(2.0**49 * math.gamma(50.0), rel=1e-12)
+        # below the floor of the scipy kernel, order 0 keeps its logarithm
+        w = 1e-310
+        assert bessel_k_weighted(0.0, w) == pytest.approx(-math.log(0.5 * w) - EULER_GAMMA, rel=1e-14)
 
 
 class TestUpperGamma:

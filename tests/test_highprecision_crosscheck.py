@@ -77,7 +77,8 @@ def _worst_relative_error(fn, cases, scaled=False):
     worst = 0.0
     for nu, w in cases:
         ref = _weighted_bessel_mp(nu, w, scaled)
-        worst = max(worst, float(abs(fn(nu, w) - ref) / abs(ref)))
+        error = float(abs(fn(nu, w) - ref) / abs(ref))
+        worst = max(worst, math.inf if math.isnan(error) else error)  # nan must not slip through max
     return worst
 
 

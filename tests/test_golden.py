@@ -1,4 +1,5 @@
-"""Golden-grid gate: the public observables of both wall families, pinned.
+"""Golden-grid gate: the public observables and heat kernels of both wall
+families, pinned.
 
 ``golden_grid.json`` holds the values the library returned on a fixed grid
 of walls, dimensions and signed distances, together with the commit of the
@@ -17,6 +18,7 @@ relative change) and replaces only those values, so that each re-pin can be
 reviewed and every other value keeps the pin it had.
 """
 
+import itertools
 import json
 import math
 import pathlib
@@ -29,7 +31,14 @@ from vacpol import reflecting as rf
 from vacpol import semitransparent as st
 from vacpol.core import FieldConfig
 from vacpol.errors import SlowDecayWarning, VacpolError
-from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
+from vacpol.heatkernel import (
+    DIRICHLET,
+    HeatQuery,
+    ReflectingBC,
+    SemitransparentBC,
+    reflecting_kernel,
+    semitransparent_kernel,
+)
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_grid.json")
 RTOL = 1e-13
@@ -65,6 +74,11 @@ ORACLE_POINTS = (
     ("delta_plus", 2, 0.3), ("delta_minus", 5, -1.4), ("skew_delta", 3, -0.3),
     ("delta_prime", 2, 0.3), ("general", 5, -1.4), ("general", 3, -0.3),
 )
+# heat kernels: same-side and cross-wall pairs, massless (where positivity
+# allows) and massive
+KERNEL_TAUS = (0.01, 0.3, 3.0)
+KERNEL_XS = (-3.0, -0.7, -0.05, 0.05, 0.7, 3.0)
+KERNEL_MASSES = (0.0, 1.6)
 
 
 def _outcome(fn, *args):
@@ -85,8 +99,21 @@ def _massless(mod, cfg, bc, x1):
     return {"plane": value.plane_term, "branch": value.branch}
 
 
+def _kernel(bc, tau, x1, y1, m):
+    kernel = reflecting_kernel if isinstance(bc, ReflectingBC) else semitransparent_kernel
+    value = kernel(HeatQuery(tau, x1, y1), bc, m)
+    return {"re": value.real, "im": value.imag}
+
+
 def _cases(quantity):
     """Yield ``(key, function, args)`` for every grid point of one quantity."""
+    if quantity == "kernel":
+        for name, (_, bc) in WALLS.items():
+            grid = itertools.product(KERNEL_TAUS, KERNEL_XS, KERNEL_XS, KERNEL_MASSES)
+            for tau, x1, y1, m in grid:
+                yield (f"kernel/{name}/tau{tau!r}/x{x1!r}/y{y1!r}/m{m!r}",
+                       _kernel, (bc, tau, x1, y1, m))
+        return
     if quantity == "oracle":
         for name, d, x1 in ORACLE_POINTS:
             mod, bc = WALLS[name]
@@ -116,7 +143,7 @@ def _cases(quantity):
 
 
 QUANTITIES = ("plane_term", "regularized", "small_x", "large_x", "renormalize", "massless",
-              "oracle")
+              "oracle", "kernel")
 
 
 def compute(quantity):

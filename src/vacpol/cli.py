@@ -119,7 +119,7 @@ def _make_bc(args):
         return ReflectingBC(args.b_plus, args.b_minus)
     omega = complex(args.omega_re, args.omega_im)
     norm = abs(omega)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:
         raise ParameterError(f"omega must have unit modulus (|omega| = {norm})")
     omega /= norm
     return SemitransparentBC(args.alpha, args.beta, args.gamma, args.sigma, omega)

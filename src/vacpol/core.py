@@ -3,11 +3,12 @@ r"""Shared value types and the image-sum representation of a wall.
 Both wall families give the plane term the same shape: a head weight
 ``A`` times ``F((d-1)/2, 2m|x1|)`` plus a short list of ``(weight, rate)``
 image terms (:class:`ImageSum`).  A reflecting face is the delta family
-with ``L = +1`` (Neumann, Robin) or ``L = -1`` (Dirichlet).  The geometry
-modules only map their boundary condition at ``x1`` to that record; every
-observable -- plane term, regulator continuation and its Laurent
-renormalization, nested-quadrature oracles, asymptotic laws and massless
-limits -- is evaluated here from it.
+with ``L = +1`` (Neumann, Robin) or ``L = -1`` (Dirichlet).  The boundary
+conditions (``ReflectingBC.images``, ``SemitransparentBC.images``) only map
+a pair of points to that record; every observable -- heat kernel, plane
+term, regulator continuation and its Laurent renormalization,
+nested-quadrature oracles, asymptotic laws and massless limits -- is
+evaluated here from it.
 """
 
 import math
@@ -26,6 +27,7 @@ from .specialfns import (
     EULER_GAMMA,
     bessel_k_weighted,
     bessel_k_weighted_scaled,
+    erfcx,
     harmonic_number,
     upper_gamma_scaled,
 )
@@ -247,6 +249,21 @@ def _image_integral(d, m, ax, rate, u=0.0):
     return value / total_rate
 
 
+def _gauss(u, tau):
+    return math.exp(-u * u / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
+
+
+def _w_image(c, s, tau):
+    # (4 pi tau)^{-1/2} int_0^inf dw e^{-c w - (w+s)^2/(4 tau)}
+    #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2;
+    # below a zero erfcx argument (bound state, c < 0) the growing part
+    # e^{tau c^2 + c s} is split off so that nothing overflows
+    arg = c * math.sqrt(tau) + s / (2.0 * math.sqrt(tau))
+    if arg >= 0.0:
+        return 0.5 * erfcx(arg) * math.exp(-s * s / (4.0 * tau))
+    return math.exp(tau * c * c + c * s) - 0.5 * erfcx(-arg) * math.exp(-s * s / (4.0 * tau))
+
+
 def _w_image_integral(b, ax, tau, spec, m=0.0):
     # int_0^inf dw e^{-m^2 tau - b w - (w + 2|x|)^2/(4 tau)}; the mass factor is
     # folded into the exponent so the peak never overflows for |b| < m even at
@@ -271,16 +288,25 @@ def _w_image_integral(b, ax, tau, spec, m=0.0):
 
 @dataclass(frozen=True)
 class ImageSum:
-    r"""A wall seen from one side: a head weight and ``(weight, rate)`` images.
+    r"""A wall between two points: a head weight and ``(weight, rate)`` images.
 
-    The plane term at signed distance ``x1`` is
+    Between ``x1`` and ``y1``, at proper time ``tau``, the heat kernel is
+
+        e^{-m^2 tau} [g(x1 - y1) + head g(s) + sum_k weight_k/2 W(rate_k, s)],
+
+    with ``s = |x1| + |y1|``, the Gaussian ``g(u) = e^{-u^2/(4 tau)}/sqrt(4 pi tau)``
+    and the image ``W(rate, s) = (4 pi tau)^{-1/2} int_0^inf dw
+    e^{-rate w - (w+s)^2/(4 tau)}``.  On one side of the wall head and
+    weights are real; across it they carry the phase ``omega`` and the
+    kernel is complex.  At coincident points the record is real, and the
+    plane term at signed distance ``x1`` is
 
         P(d, x1) [head F((d-1)/2, 2m|x1|) + sum_k weight_k |x1| I(rate_k)],
 
     with ``F(nu, w) = w^nu K_nu(w)``,
     ``P = 1/(2^{(3d-1)/2} pi^{(d+1)/2} |x1|^{d-1})`` and the coupling integral
     ``I(rate) = int_0^inf dv e^{-2 rate |x1| v} (v+1)^{1-d} F((d-1)/2, 2m|x1|(v+1))``.
-    In the proper-time representation the same record reads
+    In the proper-time integral of the plane term the same record reads
     ``head e^{-x1^2/tau} + sum_k weight_k/2 int_0^inf dw e^{-rate_k w - (w+2|x1|)^2/(4 tau)}``.
 
     Neumann is ``head = 1``, Dirichlet ``head = -1``, a Robin face ``b`` adds
@@ -290,11 +316,12 @@ class ImageSum:
     dropped on construction: their rate may be 0, where the massless
     incomplete-Gamma factor is singular.
 
-    The methods take an already validated ``x1`` (see :func:`sign`) and
-    evaluate every observable of both geometry modules.
+    The methods take already validated points (see :func:`sign`) and
+    evaluate every observable of both geometry modules and of the heat
+    kernels.
     """
 
-    head: float
+    head: complex
     terms: tuple = ()
 
     def __post_init__(self):
@@ -313,6 +340,17 @@ class ImageSum:
         for weight, rate in self.terms:
             value += 0.5 * weight * _w_image_integral(rate, ax, tau, _ORACLE_SPEC, m)
         return value
+
+    def kernel(self, tau, x1, y1, m):
+        """Closed-form heat kernel between ``x1`` and ``y1`` at proper time
+        ``tau``, for a finite mass ``m >= 0``; complex where the weights are."""
+        if not 0.0 <= m < math.inf:
+            raise ParameterError(f"m = {m} must be a finite mass >= 0")
+        s = abs(x1) + abs(y1)
+        value = _gauss(x1 - y1, tau) + self.head * _gauss(s, tau)
+        for weight, rate in self.terms:
+            value += 0.5 * weight * _w_image(rate, s, tau)
+        return math.exp(-m * m * tau) * value
 
     def plane_term(self, cfg, x1):
         """Closed-form plane term at ``x1`` (``m > 0``)."""

@@ -15,19 +15,19 @@ alpha = sigma = 1`` is the Dirac-delta wall of strength ``gamma`` and
 
 A mass only multiplies every kernel by ``exp(-m**2 tau)``.
 
-Every production kernel evaluates its image integrals in the closed
-error-function form; the ``w``-integral form of the Robin kernel and the
-eigenfunction expansion are retained as independent oracles.
+Each boundary condition maps a pair of points to the
+:class:`~vacpol.core.ImageSum` whose closed-form ``kernel`` every production
+kernel here evaluates (at coincident points the same record gives the plane
+term).  The ``w``-integral form of the Robin kernel and the eigenfunction
+expansion are retained as independent oracles.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
-from .core import sign
+from .core import ImageSum, _gauss, _w_image_integral, sign
 from .errors import ParameterError
-from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
-from .specialfns import erfcx
+from .quadrature import QuadSpec, integrate_finite
 
 __all__ = [
     "DIRICHLET",
@@ -41,7 +41,7 @@ __all__ = [
     "semitransparent_kernel",
 ]
 
-#: Marker for a Dirichlet face (the ``b -> +inf`` limit has its own closed form).
+#: Marker for a Dirichlet face (the ``b -> +inf`` limit: a mirror image of weight -1).
 DIRICHLET = math.inf
 
 #: Couplings with ``|beta|`` below this are treated as the ``beta = 0`` family.
@@ -107,6 +107,20 @@ class ReflectingBC:
         for name, b in (("b_plus", self.b_plus), ("b_minus", self.b_minus)):
             _check_rate(name, b, m)
 
+    def images(self, x1, y1):
+        """The wall between ``x1`` and ``y1`` as an :class:`~vacpol.core.ImageSum`.
+
+        On one side it is the face of that side: a Robin face ``b`` is head
+        ``+1`` with the image ``(-4b, b)`` (Neumann drops it), a Dirichlet
+        face head ``-1``.  Across the wall the half-lines decouple: there
+        ``|x1 - y1| = |x1| + |y1|``, so head ``-1`` cancels the free Gaussian
+        and the kernel is exactly 0.
+        """
+        b = self.side(x1)
+        if sign(x1, "x1") != sign(y1, "y1") or math.isinf(b):
+            return ImageSum(-1.0)
+        return ImageSum(1.0, ((-4.0 * b, b),))
+
 
 @dataclass(frozen=True)
 class SemitransparentBC:
@@ -119,10 +133,13 @@ class SemitransparentBC:
     omega: complex = 1.0 + 0.0j
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma_coupling", "sigma_param"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} = {getattr(self, name)} must be finite")
         det = self.alpha * self.sigma_param - self.beta * self.gamma_coupling
-        if abs(det - 1.0) > _STRUCT_TOL:
+        if not abs(det - 1.0) <= _STRUCT_TOL:
             raise ParameterError(f"transfer matrix must have unit determinant, got {det}")
-        if abs(abs(complex(self.omega)) - 1.0) > _STRUCT_TOL:
+        if not abs(abs(complex(self.omega)) - 1.0) <= _STRUCT_TOL:
             raise ParameterError(f"omega must have unit modulus, got |omega| = {abs(self.omega)}")
 
     @classmethod
@@ -175,20 +192,44 @@ class SemitransparentBC:
         else:
             _check_rate("Lambda_minus", self.lambda_pm()[1], m)
 
+    def images(self, x1, y1):
+        """The wall between ``x1`` and ``y1`` as an :class:`~vacpol.core.ImageSum`.
 
-def _gauss(u, tau):
-    return math.exp(-u * u / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
+        The ``beta = 0`` family is head ``L`` with the image
+        ``(-2(1+L)c, c)``, ``c = gamma/(alpha+sigma)``; the ``beta != 0``
+        family is head ``sgn(x1) sgn(y1)`` with the images
+        ``(2 M_+, Lambda_+)`` and ``(-2 M_-, Lambda_-)``.  The weights are
+        real on one side; across the wall they carry ``omega``, seen from
+        the side of ``x1`` (conjugated for ``x1 < 0``), and are complex.
+        """
+        sx = sign(x1, "x1")
+        phase = None
+        if sx != sign(y1, "y1"):
+            w = complex(self.omega)
+            phase = complex(w.real, sx * w.imag)
+        if self.is_delta_family:
+            c = self.delta_ratio
+            L = self._weight_L(sx, phase)
+            return ImageSum(L, ((-2.0 * (1.0 + L) * c, c),))
+        lam_p, lam_m = self.lambda_pm()
+        m_p, m_m = (self._weight_M(lam, sx, phase) for lam in (lam_p, lam_m))
+        return ImageSum(1.0 if phase is None else -1.0, ((2.0 * m_p, lam_p), (-2.0 * m_m, lam_m)))
 
+    def _weight_L(self, sx, phase=None):
+        # head of the beta = 0 family; phase is None for points on one side
+        if phase is None:
+            return (self.alpha - self.sigma_param) * sx / self.trace_sum
+        return -(1.0 - 2.0 * phase / self.trace_sum)
 
-def _w_image(c, s, tau):
-    # (4 pi tau)^{-1/2} int_0^inf dw e^{-c w - (w+s)^2/(4 tau)}
-    #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2;
-    # below a zero erfcx argument (bound state, c < 0) the growing part
-    # e^{tau c^2 + c s} is split off so that nothing overflows
-    arg = c * math.sqrt(tau) + s / (2.0 * math.sqrt(tau))
-    if arg >= 0.0:
-        return 0.5 * erfcx(arg) * math.exp(-s * s / (4.0 * tau))
-    return math.exp(tau * c * c + c * s) - 0.5 * erfcx(-arg) * math.exp(-s * s / (4.0 * tau))
+    def _weight_M(self, lam, sx, phase=None):
+        # image weight of the rate lam of the beta != 0 family, fixed by the
+        # transfer relation at the wall; it matches a scattering-state
+        # expansion at machine precision on both sides and for complex omega
+        scale = math.copysign(1.0, self.beta) / math.hypot(self.alpha - self.sigma_param, 2.0)
+        if phase is None:
+            skew = (self.alpha - self.sigma_param) * sx
+            return -scale * (self.trace_sum * lam - 2.0 * self.gamma_coupling - skew * lam)
+        return scale * (2.0 * lam * phase)
 
 
 def robin_half_line_kernel(q, b, m=0.0):
@@ -208,14 +249,10 @@ def robin_half_line_kernel(q, b, m=0.0):
     """
     if not (q.x1 > 0.0 and q.y1 > 0.0):
         raise ParameterError("robin_half_line_kernel lives on the positive half-line")
-    if math.isinf(b):
-        raise ParameterError("use reflecting_kernel for the Dirichlet marker")
-    s = q.x1 + q.y1
-    tau = q.tau
-    value = _gauss(q.x1 - q.y1, tau) + _gauss(s, tau)
-    if b != 0.0:
-        value -= 2.0 * b * _w_image(b, s, tau)
-    return math.exp(-m * m * tau) * value
+    if not math.isfinite(b):
+        raise ParameterError(f"b = {b} is not a finite Robin coupling (use reflecting_kernel "
+                             "for the Dirichlet marker)")
+    return ReflectingBC.robin(b).images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
 
 
 def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
@@ -227,27 +264,18 @@ def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
     tau = q.tau
     value = _gauss(q.x1 - q.y1, tau) + _gauss(s, tau)
     if b != 0.0:
-        integral, _ = integrate_semi_infinite(
-            lambda w: math.exp(-b * w - (w + s) ** 2 / (4.0 * tau)), spec
-        )
-        value -= b / math.sqrt(math.pi * tau) * integral
+        value -= b / math.sqrt(math.pi * tau) * _w_image_integral(b, 0.5 * s, tau, spec)
     return math.exp(-m * m * tau) * value
 
 
 def reflecting_kernel(q, bc, m=0.0):
-    """Heat kernel of the reflecting wall; vanishes across the wall.
+    """Heat kernel of the reflecting wall; exactly 0 across the wall.
 
-    Dispatches to the half-line kernel with the face coupling of the side
-    both points lie on (coordinates reflected for the negative side), or
-    to the Dirichlet closed form for a hard face.
+    On one side it is the half-line kernel of the face of that side
+    (:meth:`ReflectingBC.images`), positivity checked.
     """
     bc.check_positive(m)
-    if q.x1 * q.y1 < 0.0:
-        return 0.0
-    b, x, y = bc.side(q.x1), abs(q.x1), abs(q.y1)
-    if math.isinf(b):
-        return math.exp(-m * m * q.tau) * (_gauss(x - y, q.tau) - _gauss(x + y, q.tau))
-    return robin_half_line_kernel(HeatQuery(q.tau, x, y), b, m)
+    return bc.images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
 
 
 def spectral_oracle_robin(q, b, m=0.0, spec=_SPECTRAL_SPEC):
@@ -282,67 +310,12 @@ def spectral_oracle_robin(q, b, m=0.0, spec=_SPECTRAL_SPEC):
     return math.exp(-m * m * tau) * value
 
 
-def _mix_weight_delta(bc, x1, y1):
-    """Off-diagonal image weight L(x1, y1) of the ``beta = 0`` family."""
-    ts = bc.trace_sum
-    if x1 * y1 > 0.0:
-        return complex((bc.alpha - bc.sigma_param) / ts * sign(x1))
-    w = complex(bc.omega)
-    return -(1.0 - 2.0 * (w.real + sign(x1) * 1j * w.imag) / ts)
-
-
-def _mix_weights_delta_prime(bc, x1, y1):
-    """Image weights (M_plus, M_minus) of the ``beta != 0`` family.
-
-    These are fixed by requiring the kernel to satisfy the transfer
-    relation at the wall; they are validated against a scattering-state
-    eigenfunction expansion (see the test suite), which they match at
-    machine precision for every side combination and complex ``omega``.
-    """
-    lam_p, lam_m = bc.lambda_pm()
-    root = math.hypot(bc.alpha - bc.sigma_param, 2.0)
-    sb = math.copysign(1.0, bc.beta)
-    out = []
-    for lam in (lam_p, lam_m):
-        if x1 * y1 > 0.0:
-            val = bc.trace_sum * lam - 2.0 * bc.gamma_coupling \
-                - (bc.alpha - bc.sigma_param) * lam * sign(x1)
-            out.append(complex(-sb / root * val))
-        else:
-            w = complex(bc.omega)
-            val = 2.0 * lam * (w.real + sign(x1) * 1j * w.imag)
-            out.append(sb / root * val)
-    return out[0], out[1]
-
-
 def semitransparent_kernel(q, bc, m=0.0):
     r"""Heat kernel of the semitransparent wall (complex valued in general).
 
-    Free Gaussian plus image terms weighted by the mixing coefficients of
-    the matching coupling family.  The ``w``-integrals
-    ``(4 pi tau)^{-1/2} int_0^inf e^{-c w - (w+|x|+|y|)^2/(4 tau)} dw`` take
-    the closed form ``e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau)))/2``
-    with ``s = |x| + |y|``, shared with :func:`robin_half_line_kernel`.
+    The kernel of :meth:`SemitransparentBC.images`, positivity checked.
     Hermitian (``K(x, y) = conj(K(y, x))``) and real whenever
     ``Im omega = 0`` or both points are on the same side.
     """
     bc.check_positive(m)
-    tau, x, y = q.tau, q.x1, q.y1
-    s = abs(x) + abs(y)
-    g_img = _gauss(s, tau)
-    value = complex(_gauss(x - y, tau))
-    if bc.is_delta_family:
-        mix = _mix_weight_delta(bc, x, y)
-        value += mix * g_img
-        c = bc.delta_ratio
-        if c != 0.0:
-            value -= c * (1.0 + mix) * _w_image(c, s, tau)
-    else:
-        lam_p, lam_m = bc.lambda_pm()
-        value += sign(x) * sign(y) * g_img
-        m_p, m_m = _mix_weights_delta_prime(bc, x, y)
-        if m_p != 0.0:
-            value += m_p * _w_image(lam_p, s, tau)
-        if m_m != 0.0:
-            value -= m_m * _w_image(lam_m, s, tau)
-    return cmath.exp(-m * m * tau) * value
+    return complex(bc.images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m))

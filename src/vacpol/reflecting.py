@@ -45,14 +45,9 @@ __all__ = [
 
 
 def _images(cfg, bc, x1):
-    # the face on the side of x1: Neumann is head +1, Dirichlet head -1, and
-    # a Robin coupling b adds the image (-4b, b) (dropped again when b = 0)
-    sign(x1)
+    images = bc.images(x1, x1)
     bc.check_positive(cfg.m)
-    b = bc.side(x1)
-    if math.isinf(b):
-        return ImageSum(-1.0)
-    return ImageSum(1.0, ((-4.0 * b, b),))
+    return images
 
 
 def free_term(cfg):

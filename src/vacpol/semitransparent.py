@@ -17,11 +17,10 @@ pure delta wall (``alpha = sigma``) is the softening of the near-wall
 divergence: the leading small-``x1`` term vanishes identically.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import core
-from .core import ImageSum, PolarizationValue, SpectrumReport, sign
+from .core import PolarizationValue, SpectrumReport, sign
 from .errors import InfraredDivergenceError
 
 __all__ = [
@@ -68,18 +67,13 @@ def diagonal_coefficients(bc, x1):
                * [(alpha+sigma) L_pm - 2 gamma - (alpha-sigma) L_pm sgn(x1)],
 
     which satisfies ``1 + M_plus/L_plus - M_minus/L_minus = -1`` whenever
-    both rates are nonzero.
+    both rates are nonzero.  They are the weights of ``bc.images(x1, x1)``.
     """
-    L = (bc.alpha - bc.sigma_param) / bc.trace_sum * sign(x1)
+    sx = sign(x1)
+    L = bc._weight_L(sx)
     if bc.is_delta_family:
         return DiagonalCoefficients(L=L)
-    lam_p, lam_m = bc.lambda_pm()
-    root = math.hypot(bc.alpha - bc.sigma_param, 2.0)
-    sb = math.copysign(1.0, bc.beta)
-    skew = (bc.alpha - bc.sigma_param) * sign(x1)
-    m_p = -sb / root * (bc.trace_sum * lam_p - 2.0 * bc.gamma_coupling - skew * lam_p)
-    m_m = -sb / root * (bc.trace_sum * lam_m - 2.0 * bc.gamma_coupling - skew * lam_m)
-    return DiagonalCoefficients(L=L, M_plus=m_p, M_minus=m_m)
+    return DiagonalCoefficients(L, *(bc._weight_M(lam, sx) for lam in bc.lambda_pm()))
 
 
 def spectrum(bc, m):
@@ -97,15 +91,9 @@ def spectrum(bc, m):
 
 
 def _images(cfg, bc, x1):
-    # the delta family is head L with the image (-2(1+L)c, c); the
-    # delta-prime family head 1 with (2 M_+, Lambda_+) and (-2 M_-, Lambda_-)
-    coeffs = diagonal_coefficients(bc, x1)
+    images = bc.images(x1, x1)
     bc.check_positive(cfg.m)
-    if bc.is_delta_family:
-        c = bc.delta_ratio
-        return ImageSum(coeffs.L, ((-2.0 * (1.0 + coeffs.L) * c, c),))
-    lam_p, lam_m = bc.lambda_pm()
-    return ImageSum(1.0, ((2.0 * coeffs.M_plus, lam_p), (-2.0 * coeffs.M_minus, lam_m)))
+    return images
 
 
 def free_term(cfg):

@@ -150,6 +150,17 @@ class TestHeatKernel:
         expected = (1.0 + math.exp(-1.0)) / math.sqrt(4.0 * math.pi)
         assert float(rows[0]["value"]) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--m=-1", "--b-plus=-5"], "m"),
+        (["--m=nan"], "m"),
+        (["--geometry=semitransparent", "--alpha=nan"], "alpha"),
+        (["--geometry=semitransparent", "--omega-re=nan"], "omega"),
+    ])
+    def test_bad_parameters_exit_2(self, argv, field):
+        out = run_cli("heat-kernel", "--tau", "0.5", "--x", "0.7", "--y", "0.3", *argv)
+        assert out.returncode == 2
+        assert f": {field} " in out.stderr
+
     def test_semitransparent_complex_columns(self):
         out = run_cli("heat-kernel", "--geometry", "semitransparent", "--beta", "1",
                       "--tau", "0.5,1.0", "--x", "1.0", "--y", "1.0,-1.0")

@@ -62,6 +62,14 @@ class TestTypes:
         lam_p, lam_m = bc.lambda_pm()
         assert (lam_p, lam_m) == (2.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma_coupling", "sigma_param", "omega"])
+    def test_semitransparent_nan_is_named(self, field):
+        # a nan entry or phase fails every tolerance comparison
+        params = {"alpha": 1.0, "beta": 0.0, "gamma_coupling": 1.5, "sigma_param": 1.0,
+                  "omega": OMEGA, field: math.nan}
+        with pytest.raises(ParameterError, match=f"^{field} "):
+            SemitransparentBC(**params)
+
     def test_lambda_sign_flip_relation(self):
         # direct formula evaluation: flipping (beta, alpha-sigma) -- realized
         # by swapping alpha and sigma and negating both off-diagonal couplings
@@ -94,6 +102,10 @@ class TestRobinHalfLine:
             assert robin_half_line_kernel(q, b, 1.3) == pytest.approx(
                 math.exp(-1.3**2 * 0.7) * robin_half_line_kernel(q, b, 0.0), rel=1e-15
             )
+
+    def test_nan_coupling_is_named(self):
+        with pytest.raises(ParameterError, match="^b "):
+            robin_half_line_kernel(HeatQuery(1.0, 1.0, 1.0), math.nan)
 
     def test_wform_oracle_agreement(self):
         for tau, x, y, b in ((0.5, 0.7, 0.4, 1.0), (1.0, 1.0, 1.0, -0.5), (0.2, 0.3, 1.2, 2.0)):
@@ -216,6 +228,24 @@ class TestSemitransparent:
             semitransparent_kernel(
                 HeatQuery(1.0, 1.0, 1.0), SemitransparentBC.delta(-3.0), 1.0
             )
+
+
+@pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("y", [0.3, -0.3])
+@pytest.mark.parametrize(
+    "kernel, bc",
+    [
+        # b_plus = -5 would be a bound state at m = 1 but passes the gate at m < 0
+        (reflecting_kernel, ReflectingBC(-5.0, 0.0)),
+        (semitransparent_kernel, SemitransparentBC(1.0, 0.4, 0.3, 1.12, OMEGA)),
+        (robin_half_line_kernel, -5.0),
+    ],
+)
+def test_bad_mass_is_named(kernel, bc, y, m):
+    if kernel is robin_half_line_kernel:
+        y = abs(y)
+    with pytest.raises(ParameterError, match="^m "):
+        kernel(HeatQuery(0.5, 0.7, y), bc, m)
 
 
 def test_validation_suite_passes():

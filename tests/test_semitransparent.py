@@ -122,6 +122,16 @@ class TestPlaneTerm:
             plane_term_oracle(cfg, bc, 1.0), rel=1e-8
         )
 
+    @pytest.mark.parametrize("x1", (0.7, -0.7))
+    def test_zero_trace_delta_prime_oracle(self, x1):
+        # alpha + sigma = 0 is a valid beta != 0 wall (rates +-sqrt(2)); only
+        # the beta = 0 weight L divides by it
+        cfg = FieldConfig(3, 2.0)
+        bc = SemitransparentBC(1.0, 1.0, -2.0, -1.0)
+        assert plane_term(cfg, bc, x1) == pytest.approx(
+            plane_term_oracle(cfg, bc, x1), rel=1e-8
+        )
+
     @pytest.mark.parametrize("d", (5, 8, 11))
     def test_delta_prime_oracle_high_d(self, d):
         # the validation oracle grid stops at d = 3; spot checks up to d = 11

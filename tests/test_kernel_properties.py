@@ -32,12 +32,12 @@ phases = st.floats(-math.pi, math.pi).map(lambda theta: cmath.exp(1j * theta))
 
 
 @st.composite
-def unitary_walls(draw, omega=phases):
+def unitary_walls(draw):
     """A unit-determinant transfer matrix of either family, with a phase."""
     alpha = draw(st.floats(0.3, 3.0))
     beta = draw(st.one_of(st.just(0.0), st.floats(0.2, 2.0), st.floats(-2.0, -0.2)))
     gamma = draw(st.floats(-2.0, 2.0))
-    return SemitransparentBC(alpha, beta, gamma, (1.0 + beta * gamma) / alpha, draw(omega))
+    return SemitransparentBC(alpha, beta, gamma, (1.0 + beta * gamma) / alpha, draw(phases))
 
 
 def _admissible_mass(bc):

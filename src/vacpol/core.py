@@ -55,6 +55,13 @@ _CONSISTENCY_TOL = 1e-6
 _LAURENT_EPS = 1e-3
 
 
+def check_mass(m):
+    """Entry check of a field mass: finite and ``>= 0``, else a
+    :class:`ParameterError` naming ``m``."""
+    if not 0.0 <= m < math.inf:
+        raise ParameterError(f"m = {m} must be a finite mass >= 0")
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Global physics parameters.
@@ -64,8 +71,8 @@ class FieldConfig:
     d : int
         Space dimension, ``1 <= d <= 11``.
     m : float
-        Field mass, ``m >= 0`` (``m = 0`` only where a massless closed
-        form exists).
+        Finite field mass, ``m >= 0`` (``m = 0`` only where a massless
+        closed form exists).
     kappa : float
         Renormalization mass scale; enters only through ``log(2 kappa/m)``
         and ``log(2 kappa |x1|)``.
@@ -78,8 +85,7 @@ class FieldConfig:
     def __post_init__(self):
         if self.d != int(self.d) or not 1 <= self.d <= 11:
             raise ParameterError(f"space dimension must be an integer in [1, 11], got {self.d}")
-        if not self.m >= 0.0:
-            raise ParameterError(f"mass must be >= 0, got {self.m}")
+        check_mass(self.m)
         if not self.kappa > 0.0:
             raise ParameterError(f"kappa must be > 0, got {self.kappa}")
 
@@ -126,8 +132,7 @@ class SpectrumReport:
         """Spectrum of a wall whose decay ``rates`` below 0 are bound states:
         one eigenvalue ``m**2 - rate**2`` each; positive iff every rate
         exceeds ``-m`` (is ``>= 0`` when ``m = 0``)."""
-        if not m >= 0.0:
-            raise ParameterError(f"mass must be >= 0, got {m}")
+        check_mass(m)
         eigenvalues = tuple(sorted(m * m - r * r for r in rates if r < 0.0))
         positive = all(r > -m if m > 0.0 else r >= 0.0 for r in rates)
         return cls(m * m, eigenvalues, positive, lambda_plus, lambda_minus)
@@ -216,6 +221,18 @@ def _require_mass(cfg, name):
         raise ParameterError(f"{name} needs m > 0; use massless_value for m = 0")
 
 
+def _continued_free_term(cfg, u):
+    # free term of the continuation, off its poles:
+    # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2))
+    d, m = cfg.d, cfg.m
+    return (
+        m ** (d - 1)
+        * (cfg.kappa / m) ** u
+        * math.gamma(0.5 * (u - d + 1))
+        / (2.0 ** (d + 1) * math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
+    )
+
+
 def _small_x_leading(d, m, x1):
     ax = abs(x1)
     if d == 1:
@@ -253,15 +270,18 @@ def _gauss(u, tau):
     return math.exp(-u * u / (4.0 * tau)) / math.sqrt(4.0 * math.pi * tau)
 
 
-def _w_image(c, s, tau):
+def _w_image(c, s, tau, m):
     # (4 pi tau)^{-1/2} int_0^inf dw e^{-c w - (w+s)^2/(4 tau)}
-    #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2;
-    # below a zero erfcx argument (bound state, c < 0) the growing part
-    # e^{tau c^2 + c s} is split off so that nothing overflows
+    #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2,
+    # as (part the kernel scales by e^{-m^2 tau}, bound-state part).  Below a
+    # zero erfcx argument (bound state, c < 0) the growth e^{tau c^2 + c s} is
+    # split off with the mass folded into its exponent: for a deep bound state
+    # (m > |c| >> 1) e^{-m^2 tau} and e^{tau c^2} leave double range alone
     arg = c * math.sqrt(tau) + s / (2.0 * math.sqrt(tau))
+    decaying = 0.5 * erfcx(abs(arg)) * math.exp(-s * s / (4.0 * tau))
     if arg >= 0.0:
-        return 0.5 * erfcx(arg) * math.exp(-s * s / (4.0 * tau))
-    return math.exp(tau * c * c + c * s) - 0.5 * erfcx(-arg) * math.exp(-s * s / (4.0 * tau))
+        return decaying, 0.0
+    return -decaying, math.exp(tau * (c * c - m * m) + c * s)
 
 
 def _w_image_integral(b, ax, tau, spec, m=0.0):
@@ -327,6 +347,17 @@ class ImageSum:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((w, r) for w, r in self.terms if w != 0.0))
 
+    def _plane(self, cfg, x1, u):
+        # plane part of the continuation, P(d, x1, u) times the shifted bracket;
+        # P(d, x1, 0) is the plane-term prefactor
+        d, ax = cfg.d, abs(x1)
+        prefactor = (
+            2.0 ** (0.5 * (u - 3 * d + 1))
+            * (cfg.kappa * ax) ** u
+            / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
+        )
+        return prefactor * self._bracket(d, cfg.m, ax, u)
+
     def _bracket(self, d, m, ax, u):
         # head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate), shifted by u
         value = self.head * bessel_k_weighted(0.5 * (d - 1 - u), 2.0 * m * ax)
@@ -344,13 +375,15 @@ class ImageSum:
     def kernel(self, tau, x1, y1, m):
         """Closed-form heat kernel between ``x1`` and ``y1`` at proper time
         ``tau``, for a finite mass ``m >= 0``; complex where the weights are."""
-        if not 0.0 <= m < math.inf:
-            raise ParameterError(f"m = {m} must be a finite mass >= 0")
+        check_mass(m)
         s = abs(x1) + abs(y1)
         value = _gauss(x1 - y1, tau) + self.head * _gauss(s, tau)
+        bound = 0.0
         for weight, rate in self.terms:
-            value += 0.5 * weight * _w_image(rate, s, tau)
-        return math.exp(-m * m * tau) * value
+            decaying, growing = _w_image(rate, s, tau, m)
+            value += 0.5 * weight * decaying
+            bound += 0.5 * weight * growing
+        return math.exp(-m * m * tau) * value + bound
 
     def plane_term(self, cfg, x1):
         """Closed-form plane term at ``x1`` (``m > 0``)."""
@@ -363,9 +396,7 @@ class ImageSum:
                 SlowDecayWarning,
                 stacklevel=3,
             )
-        d, ax = cfg.d, abs(x1)
-        prefactor = 1.0 / (2.0 ** (0.5 * (3 * d - 1)) * math.pi ** (0.5 * (d + 1)) * ax ** (d - 1))
-        return prefactor * self._bracket(d, cfg.m, ax, 0.0)
+        return self._plane(cfg, x1, 0.0)
 
     def plane_term_oracle(self, cfg, x1):
         """Nested proper-time quadrature of :meth:`plane_term`; shares no
@@ -394,7 +425,7 @@ class ImageSum:
         """Continuation of the regularized polarization to real ``u`` off
         the pole lattice ``u = d - 1 - 2l``."""
         _require_mass(cfg, "regularized_polarization")
-        d, m, ax = cfg.d, cfg.m, abs(x1)
+        d = cfg.d
         # poles of the continued representation sit at u = d - 1 - 2l, l >= 0
         ell = 0.5 * (d - 1 - u)
         nearest = round(ell)
@@ -403,19 +434,7 @@ class ImageSum:
                 f"u = {u} is a pole of the meromorphic continuation (u = d-1-2l lattice)",
                 pole=d - 1 - 2 * nearest,
             )
-        # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2))
-        free = (
-            m ** (d - 1)
-            * (cfg.kappa / m) ** u
-            * math.gamma(0.5 * (u - d + 1))
-            / (2.0 ** (d + 1) * math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
-        )
-        common = (
-            2.0 ** (0.5 * (u - 3 * d + 1))
-            * (cfg.kappa * ax) ** u
-            / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
-        )
-        return free + common * self._bracket(d, m, ax, u)
+        return _continued_free_term(cfg, u) + self._plane(cfg, x1, u)
 
     def regularized_polarization_oracle(self, cfg, x1, u):
         """Direct proper-time representation in the strip ``u > d - 1``."""
@@ -450,7 +469,9 @@ class ImageSum:
             warnings.simplefilter("always", SlowDecayWarning)
             plane = self.plane_term(cfg, x1)
         if cfg.d % 2 == 0:
-            c0 = self.regularized_polarization(cfg, x1, 0.0)
+            # the continuation is regular at u = 0 and its plane part there is
+            # the plane term itself, so only the free part is recomputed
+            c0 = _continued_free_term(cfg, 0.0) + plane
         else:
             c0 = self.laurent_coefficients(cfg, x1).c0
         closed = free + plane

@@ -242,7 +242,8 @@ def robin_half_line_kernel(q, b, m=0.0):
         K = g(x-y) + g(x+y) - b e^{tau b^2 + b(x+y)} erfc(b sqrt(tau) + (x+y)/(2 sqrt(tau)))
 
     times ``exp(-m**2 tau)``.  For ``b < 0`` the rewrite splits off the
-    bound-state term ``2|b| e^{tau b^2 - |b|(x+y)}`` explicitly.
+    bound-state term ``2|b| e^{tau b^2 - |b|(x+y)}`` explicitly, with the
+    mass factor in its exponent.
 
     Any finite real ``b`` is accepted; positivity of the quantum theory is
     enforced one level up, in :func:`reflecting_kernel`.

@@ -46,12 +46,13 @@ class DiagonalCoefficients:
     """Diagonal image weights of the heat kernel at coincident points.
 
     ``L`` belongs to the ``beta = 0`` family (odd in ``x1``, zero for the
-    pure delta wall ``alpha = sigma``); ``M_plus``/``M_minus`` to the
-    ``beta != 0`` family (``None`` otherwise).  They are independent of
-    the phase ``omega``, which enters only off-diagonal.
+    pure delta wall ``alpha = sigma``), ``M_plus``/``M_minus`` to the
+    ``beta != 0`` family; the weights of the other family are ``None``.
+    They are independent of the phase ``omega``, which enters only
+    off-diagonal.
     """
 
-    L: float
+    L: float | None
     M_plus: float | None = None
     M_minus: float | None = None
 
@@ -70,10 +71,9 @@ def diagonal_coefficients(bc, x1):
     both rates are nonzero.  They are the weights of ``bc.images(x1, x1)``.
     """
     sx = sign(x1)
-    L = bc._weight_L(sx)
     if bc.is_delta_family:
-        return DiagonalCoefficients(L=L)
-    return DiagonalCoefficients(L, *(bc._weight_M(lam, sx) for lam in bc.lambda_pm()))
+        return DiagonalCoefficients(L=bc._weight_L(sx))
+    return DiagonalCoefficients(None, *(bc._weight_M(lam, sx) for lam in bc.lambda_pm()))
 
 
 def spectrum(bc, m):

@@ -6,9 +6,9 @@ Everything downstream is expressed through four ingredients:
   ``w**nu * K_nu(w)`` (finite and nonzero at ``w = 0`` for ``nu > 0``),
   from ``scipy.special.kve`` with closed forms where ``kve`` does not serve;
 * the upper incomplete Gamma function ``Gamma(a, z)`` for ``a <= 2``,
-  including negative integer ``a``, hand-written because ``scipy.special``
-  has no upper Gamma for ``a < 0`` and ``exp(w) * exp1(w)`` overflows
-  past ``w ~ 700``;
+  including negative integer ``a``, from ``scipy.special`` (``exp1``,
+  ``expn``, ``gammaincc``) at small arguments and a continued fraction at
+  large ones, where ``exp(w) * expn(n, w)`` overflows past ``w ~ 709``;
 * the error function and the scaled ``erfcx`` (libm and ``scipy.special``);
 * harmonic numbers and the Euler-Mascheroni constant.
 
@@ -21,7 +21,7 @@ function                    domain                                   rel. err
 ``bessel_k_weighted``       ``|nu| <= 50``, every ``w > 0`` whose    <= 1e-12
                             value is in double range
 ``upper_gamma``             ``a in [-20, 2]``, ``z > 0``             <= 1e-10
-``upper_gamma`` (a <= -10)  deep downward recurrence, ``z <= 1``     <= 1e-8
+``upper_gamma_scaled``      ``n in 0..9``, ``w >= 0``                <= 1e-11
 ``erf`` / ``erfc``          all finite arguments (libm)              <= 1e-14
 ==========================  =======================================  =========
 
@@ -32,7 +32,7 @@ import math
 import warnings
 
 from scipy.special import erfcx as _erfcx
-from scipy.special import exprel, kve
+from scipy.special import exp1, expn, exprel, gammaincc, kve
 
 from .errors import ParameterError, UnderflowToZeroWarning
 
@@ -235,19 +235,6 @@ def _upper_gamma_cf(a, z):
     raise ParameterError(f"incomplete-Gamma continued fraction stalled at a={a}, z={z}")
 
 
-def _e1_series(z):
-    # E1(z) = -EULER_GAMMA - log z + sum_k (-1)^(k+1) z^k/(k k!), for z <= 1
-    acc = 0.0
-    term = 1.0
-    for k in range(1, 200):
-        term *= -z / k
-        delta = -term / k
-        acc += delta
-        if abs(delta) < 1e-18 * max(abs(acc), 1.0):
-            break
-    return -EULER_GAMMA - math.log(z) + acc
-
-
 def exp_e1(z):
     """``exp(z) * Gamma(0, z)``, the scaled exponential integral.
 
@@ -257,22 +244,8 @@ def exp_e1(z):
     if not z > 0.0:
         raise ParameterError(f"exp_e1 requires z > 0, got z={z}")
     if z <= 1.0:
-        return math.exp(z) * _e1_series(z)
+        return math.exp(z) * float(exp1(z))
     return _upper_gamma_cf(0.0, z)
-
-
-def _lower_gamma_series_reg(a, z):
-    # regularized lower gamma P(a, z) by its power series; a > 0, z < a+1
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(1000):
-        ap += 1.0
-        delta *= z / ap
-        total += delta
-        if abs(delta) < abs(total) * 1e-17:
-            break
-    return total * math.exp(-z + a * math.log(z) - math.lgamma(a))
 
 
 def upper_gamma(a, z):
@@ -288,34 +261,30 @@ def upper_gamma(a, z):
 
     Notes
     -----
-    Three regimes:
+    Four regimes:
 
     * ``z > max(1, a+1)``: continued fraction, valid for any sign of ``a``;
-    * small ``z``, ``a > 0``: complement of the lower-Gamma power series;
-    * small ``z``, ``a <= 0``: downward recurrence
-      ``Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z)/a`` seeded at the
-      exponential integral ``Gamma(0, z)`` (integer ``a``) or at the
-      fractional seed in ``(0, 1]``.
-
-    The recurrence is subtractive; for ``a <= -10`` with ``z <= 1`` the
-    accumulated cancellation relaxes the accuracy target to ``1e-8``.
+    * small ``z``, ``a > 0``: ``Gamma(a) * scipy.special.gammaincc(a, z)``;
+    * small ``z``, integer ``a <= 0``: ``z**a * scipy.special.expn(1-a, z)``
+      (DLMF 8.19.1);
+    * small ``z``, fractional ``a < 0``: downward recurrence
+      ``Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z)/a`` seeded in ``(0, 1)``.
     """
     if not z > 0.0:
         raise ParameterError(f"upper_gamma requires z > 0, got z={z}")
     if z > max(1.0, a + 1.0):
         return math.exp(-z + a * math.log(z)) * _upper_gamma_cf(a, z)
     if a > 0.0:
-        return math.gamma(a) * (1.0 - _lower_gamma_series_reg(a, z))
-    if a == 0.0:
-        return math.exp(-z) * exp_e1(z)
+        return math.gamma(a) * float(gammaincc(a, z))
     n = int(math.ceil(-a))
+    if a == -n:
+        return float(expn(n + 1, z)) * z**a
     a0 = a + n
-    g = upper_gamma(a0, z) if a0 > 0.0 else math.exp(-z) * exp_e1(z)
+    g = math.gamma(a0) * float(gammaincc(a0, z))
     ez = math.exp(-z)
-    aa = a0
     for _ in range(n):
-        aa -= 1.0
-        g = (g - z**aa * ez) / aa
+        a0 -= 1.0
+        g = (g - z**a0 * ez) / a0
     return g
 
 
@@ -326,6 +295,7 @@ def upper_gamma_scaled(n, w):
     stays finite as ``w -> 0`` for ``n >= 1`` (limit ``1/n``) and never
     overflows at large ``w`` (it decays like ``1/w``).  For ``n = 0`` it
     equals :func:`exp_e1`, which diverges logarithmically at ``w = 0``.
+    Up to ``w = 1`` it is ``exp(w) * scipy.special.expn(n+1, w)``.
     """
     n = int(n)
     if n < 0:
@@ -334,16 +304,6 @@ def upper_gamma_scaled(n, w):
         raise ParameterError(f"upper_gamma_scaled requires w >= 0, got w={w}")
     if n == 0:
         return exp_e1(w)
-    if w == 0.0:
-        return 1.0 / n
     if w > 1.0:
         return _upper_gamma_cf(-float(n), w)
-    # Gamma(-n, w) = (-1)^n/n! [E1(w) - e^-w sum_j (-1)^j j! w^(-j-1)]; after
-    # scaling by e^w w^n the bracket turns into a plain polynomial in w.
-    s = w**n * exp_e1(w)
-    poly = 0.0
-    fj = 1.0
-    for j in range(n):
-        poly += (-1.0) ** j * fj * w ** (n - 1 - j)
-        fj *= j + 1
-    return (-1.0) ** n * (s - poly) / math.gamma(n + 1)
+    return math.exp(w) * float(expn(n + 1, w))

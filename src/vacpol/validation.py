@@ -354,7 +354,7 @@ def reflecting_oracle_grid():
     return grid
 
 
-def check_reflecting(tol_scale=1.0, oracle_grid=None):
+def check_reflecting(tol_scale=1.0):
     results = []
 
     # parity
@@ -365,7 +365,7 @@ def check_reflecting(tol_scale=1.0, oracle_grid=None):
 
     # oracle equivalence
     grid = [(d, m, hk.ReflectingBC.robin(b), ax)
-            for d, m, b, ax in (oracle_grid or reflecting_oracle_grid())]
+            for d, m, b, ax in reflecting_oracle_grid()]
     results.append(_check("reflecting.oracle_equivalence", _oracle_deviation(rf, grid), 1e-8,
                           tol_scale, "closed form vs nested proper-time quadrature"))
 
@@ -458,7 +458,7 @@ def semitransparent_oracle_grid():
     return grid
 
 
-def check_semitransparent(tol_scale=1.0, oracle_grid=None):
+def check_semitransparent(tol_scale=1.0):
     results = []
 
     # rate ordering and the footnote identity
@@ -492,7 +492,7 @@ def check_semitransparent(tol_scale=1.0, oracle_grid=None):
     results.append(_check("semitransparent.omega_independence", dev, 1e-15, tol_scale))
 
     # oracle equivalence across both families
-    dev = _oracle_deviation(st, oracle_grid or semitransparent_oracle_grid())
+    dev = _oracle_deviation(st, semitransparent_oracle_grid())
     results.append(_check("semitransparent.oracle_equivalence", dev, 1e-8, tol_scale))
 
     # free wall is exactly silent

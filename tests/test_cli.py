@@ -92,6 +92,10 @@ class TestProfile:
         assert out.returncode == 2
         out = run_cli("profile", "--d", "2", "--m", "1", "--x-min", "-1", "--points", "3")
         assert out.returncode == 2
+        for m in ("inf", "nan"):
+            out = run_cli("profile", "--d", "3", f"--m={m}", "--points", "3")
+            assert out.returncode == 2
+            assert ": m " in out.stderr
 
     def test_infrared_exit_3(self):
         out = run_cli("profile", "--geometry", "reflecting", "--d", "1", "--m", "0",
@@ -131,6 +135,13 @@ class TestSpectrum:
         assert out.returncode == 2
         assert json.loads(out.stdout)["positive"] is False
 
+    @pytest.mark.parametrize("m", ["inf", "nan", "-1"])
+    def test_bad_mass_exit_2(self, m):
+        out = run_cli("spectrum", "--geometry", "reflecting", "--b-plus", "1", f"--m={m}")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert ": m " in out.stderr
+
     def test_delta_prime_massless(self):
         out = run_cli("spectrum", "--geometry", "semitransparent", "--beta", "1",
                       "--m", "0")
@@ -160,6 +171,16 @@ class TestHeatKernel:
         out = run_cli("heat-kernel", "--tau", "0.5", "--x", "0.7", "--y", "0.3", *argv)
         assert out.returncode == 2
         assert f": {field} " in out.stderr
+
+    def test_deep_bound_state(self):
+        # rate -20 at m = 20.5: e^{-m^2 tau} and the bound-state growth are
+        # each past double range at tau = 3, the kernel is 1.705e-34
+        out = run_cli("heat-kernel", "--geometry", "semitransparent", "--gamma", "-40",
+                      "--m", "20.5", "--tau", "1.8,3", "--x", "0.5", "--y", "0.5")
+        assert out.returncode == 0, out.stderr
+        _, rows = parse_csv(out.stdout)
+        values = [float(row["re"]) for row in rows]
+        assert values == pytest.approx([6.096863785307156e-24, 1.7051028565727498e-34], rel=1e-12)
 
     def test_semitransparent_complex_columns(self):
         out = run_cli("heat-kernel", "--geometry", "semitransparent", "--beta", "1",

@@ -25,6 +25,24 @@ class TestFieldConfig:
             FieldConfig(2, 1.0, kappa=0.0)
 
 
+@pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
+def test_bad_mass_is_named_everywhere(m):
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.core import SpectrumReport
+    from vacpol.heatkernel import ReflectingBC, SemitransparentBC
+
+    entries = [
+        lambda: FieldConfig(3, m),
+        lambda: SpectrumReport.from_rates(m, (1.0,)),
+        lambda: rf.spectrum(ReflectingBC.robin(1.0), m),
+        lambda: st.spectrum(SemitransparentBC.delta_prime(1.0), m),
+    ]
+    for entry in entries:
+        with pytest.raises(ParameterError, match="^m "):
+            entry()
+
+
 def test_polarization_value_split_is_exact():
     value = PolarizationValue.build(0.125, -0.5, "test", ("note",))
     assert value.total == value.free_term + value.plane_term

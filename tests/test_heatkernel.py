@@ -248,6 +248,30 @@ def test_bad_mass_is_named(kernel, bc, y, m):
         kernel(HeatQuery(0.5, 0.7, y), bc, m)
 
 
+@pytest.mark.parametrize("tau", [0.3, 1.8, 3.0])
+def test_deep_bound_state_against_mpmath(tau):
+    # rate c = -20 with m = 20.5: from tau ~ 1.8 on, e^{-m^2 tau} underflows or
+    # the bound-state growth e^{tau c^2 + c s} overflows alone; their product
+    # is in range
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    c, m, x = -20.0, 20.5, 0.5
+    got = semitransparent_kernel(HeatQuery(tau, x, x), SemitransparentBC.delta(2.0 * c), m)
+    assert got.imag == 0.0
+    t, s = mpmath.mpf(tau), mpmath.mpf(2.0 * x)
+    peak = -2 * c * t - s
+    image = mpmath.quad(lambda w: mpmath.exp(-c * w - (w + s) ** 2 / (4 * t)),
+                        [0, peak, peak + 40 * mpmath.sqrt(t), mpmath.inf])
+    scale = mpmath.exp(-m * m * t) / mpmath.sqrt(4 * mpmath.pi * t)
+    # pure delta wall: head 0 and the image (-2c, c)
+    ref = scale * (1 - c * image)
+    assert float(abs(got.real - ref) / ref) < 1e-12
+    # Robin face b = c: head 1 and the image (-4c, c)
+    robin = reflecting_kernel(HeatQuery(tau, x, x), ReflectingBC.robin(c), m)
+    ref = scale * (1 + mpmath.exp(-s * s / (4 * t)) - 2 * c * image)
+    assert float(abs(robin - ref) / ref) < 1e-12
+
+
 def test_validation_suite_passes():
     for result in check_heatkernel():
         assert result.passed, f"{result.name}: {result.deviation} > {result.tolerance}"

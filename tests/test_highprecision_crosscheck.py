@@ -49,6 +49,21 @@ def test_upper_gamma_random_grid():
     assert worst < 1e-10, worst
 
 
+def test_upper_gamma_deep_orders():
+    # below the orders of the random grid, at small z: expn for integer a,
+    # the downward recurrence for fractional a
+    rng = random.Random(188)
+    cases = [(float(a), 10 ** rng.uniform(-3, 0)) for a in range(-20, -9) for _ in range(10)]
+    cases += [(rng.uniform(-20.0, -9.5), 10 ** rng.uniform(-3, 0)) for _ in range(200)]
+    cases += [(-20.0, 1e-3), (-20.0, 1.0), (-19.999, 1e-3), (-9.5, 1.0)]
+    worst = 0.0
+    for a, z in cases:
+        ref = mpmath.gammainc(mpmath.mpf(a), mpmath.mpf(z), mpmath.inf)
+        error = float(abs(upper_gamma(a, z) - ref) / abs(ref))
+        worst = max(worst, math.inf if math.isnan(error) else error)
+    assert worst < 1e-10, worst
+
+
 def test_upper_gamma_scaled_random_grid():
     rng = random.Random(183)
     worst = 0.0

@@ -20,7 +20,7 @@ from vacpol.reflecting import (
     spectrum,
 )
 from vacpol.specialfns import EULER_GAMMA
-from vacpol.validation import check_reflecting, reflecting_oracle_grid
+from vacpol.validation import check_reflecting
 
 K0_OF_2 = 0.11389387274953343  # weighted Bessel at order 0, argument 2
 
@@ -274,17 +274,6 @@ class TestSpectrum:
         report = spectrum(ReflectingBC.dirichlet(), 0.0)
         assert report.point_eigenvalues == ()
         assert report.positive
-
-
-@pytest.mark.slow
-def test_oracle_equivalence_full_grid():
-    # the 192-point closed-form vs nested-quadrature grid
-    for d, m, b, ax in reflecting_oracle_grid():
-        cfg = FieldConfig(d, m)
-        bc = ReflectingBC.robin(b)
-        closed = plane_term(cfg, bc, ax)
-        oracle = plane_term_oracle(cfg, bc, ax)
-        assert abs(closed - oracle) <= 1e-8 * abs(closed), (d, m, b, ax)
 
 
 def test_validation_suite_passes():

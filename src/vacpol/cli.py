@@ -5,17 +5,17 @@
 Exit codes: 0 success, 1 validation failures, 2 invalid parameters or
 positivity violation, 3 infrared divergence, 4 numerical failure.
 
-Output is deterministic: grid points are evaluated concurrently but rows
-are assembled in ascending ``x1`` order, and every float is printed in its
-shortest round-trip decimal form.  An optional ``--config FILE`` reads
-``key=value`` lines (keys are the long flag names); explicit flags win.
+Output is deterministic: the plane terms of a grid are one batch per side
+of the wall, rows come in ascending ``x1`` order, and every float is
+printed in its shortest round-trip decimal form.  An optional ``--config
+FILE`` reads ``key=value`` lines (keys are the long flag names); explicit
+flags win.
 """
 
 import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -146,34 +146,26 @@ def _geometry_module(args):
     return rf if args.geometry == "reflecting" else st
 
 
-def _profile_row(mod, cfg, bc, x1):
-    row = dict.fromkeys(PROFILE_COLUMNS)
-    row["x1"] = x1
+def _profile_rows(mod, cfg, bc, xs):
+    rows = [dict.fromkeys(PROFILE_COLUMNS) for _ in xs]
     if cfg.m == 0.0:
-        value = mod.massless_value(cfg, bc, x1)
-        row["free"], row["plane"], row["total"] = value.free_term, value.plane_term, value.total
-        return row
-    row["free"] = mod.free_term(cfg)
-    row["plane"] = mod.plane_term(cfg, bc, x1)
-    row["total"] = row["free"] + row["plane"]
-    row["asympt_small"] = mod.small_x_asymptotic(cfg, bc, x1)
-    row["asympt_large"] = mod.large_x_asymptotic(cfg, bc, x1)
-    for dev_key, asympt in (("rel_dev_small", row["asympt_small"]),
-                            ("rel_dev_large", row["asympt_large"])):
-        if asympt:
-            row[dev_key] = abs(row["plane"] / asympt - 1.0)
-    return row
-
-
-def _profile_row_reporting(mod, cfg, bc, x1):
-    try:
-        return _profile_row(mod, cfg, bc, x1)
-    except NumericalFailureError as exc:
-        raise NumericalFailureError(
-            f"at x1 = {x1!r}: {exc}",
-            best_estimate=exc.best_estimate,
-            error_bound=exc.error_bound,
-        ) from exc
+        for row, x1 in zip(rows, xs):
+            value = mod.massless_value(cfg, bc, x1)
+            row["x1"] = x1
+            row["free"], row["plane"], row["total"] = value.free_term, value.plane_term, value.total
+        return rows
+    free = mod.free_term(cfg)
+    planes = mod.plane_term(cfg, bc, xs)  # one batch per side of the wall
+    for row, x1, plane in zip(rows, xs, planes):
+        row["x1"], row["free"], row["plane"] = x1, free, float(plane)
+        row["total"] = free + row["plane"]
+        row["asympt_small"] = mod.small_x_asymptotic(cfg, bc, x1)
+        row["asympt_large"] = mod.large_x_asymptotic(cfg, bc, x1)
+        for dev_key, asympt in (("rel_dev_small", row["asympt_small"]),
+                                ("rel_dev_large", row["asympt_large"])):
+            if asympt:
+                row[dev_key] = abs(row["plane"] / asympt - 1.0)
+    return rows
 
 
 def _emit_rows(args, columns, rows, meta):
@@ -209,8 +201,7 @@ def cmd_profile(args):
     unknown = [c for c in columns if c not in PROFILE_COLUMNS]
     if unknown:
         raise ParameterError(f"unknown columns {unknown}; available: {','.join(PROFILE_COLUMNS)}")
-    with ThreadPoolExecutor() as pool:
-        rows = list(pool.map(lambda x: _profile_row_reporting(mod, cfg, bc, x), xs))
+    rows = _profile_rows(mod, cfg, bc, xs)
     meta = _meta_from(args, ("geometry", "d", "m", "kappa", "x_min", "x_max",
                              "points", "spacing", "sides"))
     if args.geometry == "reflecting":

@@ -11,9 +11,13 @@ nested-quadrature oracles, asymptotic laws and massless limits -- is
 evaluated here from it.
 """
 
+import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     InfraredDivergenceError,
@@ -22,7 +26,7 @@ from .errors import (
     PoleError,
     SlowDecayWarning,
 )
-from .quadrature import QuadSpec, integrate_semi_infinite
+from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 from .specialfns import (
     EULER_GAMMA,
     bessel_k_weighted,
@@ -40,16 +44,25 @@ __all__ = [
     "ImageSum",
     "fit_laurent_at_zero",
     "free_term",
+    "plane_term",
 ]
 
-# Production integrals are controlled relatively: plane terms decay like
+# Oracle integrals are controlled relatively: plane terms decay like
 # exp(-2 m |x1|) and their absolute size spans many orders of magnitude.
-_PROD_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
 _ORACLE_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=400)
 
-#: Image rates within this relative margin of the convergence boundary -m get
-#: a SlowDecayWarning: the integrand decay rate 2(rate+m)|x1| degenerates.
-NEAR_THRESHOLD_MARGIN = 1e-3
+# The coupling integral is a trapezoid in s = ln v, step _STEP, from
+# _S_FIRST - ln max(c, 1) to ln(45/c) + 1 with c = 2(rate+m)|x1| (the parts
+# left out are below e^-45 of the integral); points whose h and 2h sums
+# disagree beyond _FALLBACK_DISAGREEMENT (relative) go to QUADPACK.
+_STEP = 0.25
+_S_FIRST = -45.0
+_S_LAST = math.log(45.0) + 1.0
+# beyond it (less the one step by which the last node may pass ln(45/c) + 1)
+# a node's v = e^s is past double range
+_S_MAX = math.log(sys.float_info.max) - _STEP
+_FALLBACK_DISAGREEMENT = 1e-6
+_FALLBACK_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
 
 _CONSISTENCY_TOL = 1e-6
 _LAURENT_EPS = 1e-3
@@ -149,6 +162,10 @@ class LaurentFit:
     eps: float
 
 
+def _stencil(eps):
+    return (eps, -eps, 2.0 * eps, -2.0 * eps)
+
+
 def fit_laurent_at_zero(f, eps=1e-3):
     """Extract the Laurent data of a function with (at most) a simple pole at 0.
 
@@ -162,8 +179,12 @@ def fit_laurent_at_zero(f, eps=1e-3):
     """
     if not eps > 0.0:
         raise ParameterError("fit_laurent_at_zero needs eps > 0")
-    fp1, fm1 = f(eps), f(-eps)
-    fp2, fm2 = f(2.0 * eps), f(-2.0 * eps)
+    return _laurent_fit([f(u) for u in _stencil(eps)], eps)
+
+
+def _laurent_fit(values, eps):
+    # the fit of fit_laurent_at_zero from the values at _stencil(eps)
+    fp1, fm1, fp2, fm2 = values
     even1 = 0.5 * (fp1 + fm1)
     even2 = 0.5 * (fp2 + fm2)
     odd1 = 0.5 * (fp1 - fm1)
@@ -186,6 +207,24 @@ def sign(x, name="x1"):
     if x < 0.0:
         return -1.0
     raise ParameterError(f"{name} = 0 sits on the wall, where the observable is singular")
+
+
+def plane_term(cfg, bc, x1):
+    """Plane term of the wall ``bc`` at the signed distances ``x1``, a float
+    or a 1-D array of them: the points of each side are one batch of that
+    side's :class:`ImageSum` (``bc.images``).  A float gives a float, an
+    array an array in the same order.  Every point is checked (see
+    :func:`sign`) before the wall's positivity."""
+    points = np.asarray(x1, dtype=float)
+    batch = points.reshape(-1)
+    sides = np.array([sign(x) for x in batch])
+    bc.check_positive(cfg.m)
+    out = np.empty(len(batch))
+    for side in (1.0, -1.0):
+        on = sides == side
+        if on.any():
+            out[on] = bc.images(side, side).plane_term(cfg, batch[on])
+    return float(out[0]) if points.ndim == 0 else out
 
 
 def gaussian_free_factor(d):
@@ -233,6 +272,11 @@ def _continued_free_term(cfg, u):
     )
 
 
+def _with_continued_free_term(cfg, us, planes):
+    # regularized polarization from its plane parts at the regulator values us
+    return [_continued_free_term(cfg, u) + float(p) for u, p in zip(us, planes)]
+
+
 def _small_x_leading(d, m, x1):
     ax = abs(x1)
     if d == 1:
@@ -242,28 +286,57 @@ def _small_x_leading(d, m, x1):
     return math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
 
 
-def _image_integral(d, m, ax, rate, u=0.0):
-    # int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1));
-    # shared by the plane term (u = 0) and the continuation
-    nu = 0.5 * (d - 1 - u)
-    power = u - d + 1.0
-    # Integrate in the unit-rate variable t = 2(rate+m)|x| v: the boundary
-    # layer of width 1/(2 rate |x|) at large rates would otherwise slip between
-    # the nodes of the adaptive rule.  The exp-scaled Bessel keeps
-    # near-threshold rates (close to -m) free of spurious under/overflow.
-    total_rate = 2.0 * (rate + m) * ax
-    offset = 2.0 * m * ax
+def _log_integrand(d, m, rate, us, ax, s):
+    # the coupling integrand times dv/ds at v = e^s, one row per u in us,
+    # its exponentials in one exp so that rates close to -m neither under-
+    # nor overflow: e^{s - 2(rate+m)|x| v - 2m|x|} (v+1)^{u+1-d} e^w F((d-1-u)/2, w)
+    # with w = 2m|x|(v+1)
+    v = np.exp(s)
+    decay = np.exp(s - 2.0 * (rate + m) * ax * v - 2.0 * m * ax)
+    w = 2.0 * m * ax * (v + 1.0)
+    return np.stack([decay * (v + 1.0) ** (u + 1.0 - d)
+                     * bessel_k_weighted_scaled(0.5 * (d - 1 - u), w) for u in us])
 
-    def f(t):
-        expo = -t - offset
-        if expo < -745.0:  # true integrand tail below the double-precision floor
-            return 0.0
-        v = t / total_rate
-        w = 2.0 * m * ax * (v + 1.0)
-        return math.exp(expo) * (v + 1.0) ** power * bessel_k_weighted_scaled(nu, w)
 
-    value, _ = integrate_semi_infinite(f, _PROD_SPEC)
-    return value / total_rate
+def _coupling_integrals(d, m, ax, rate, us):
+    r"""``I(rate) = int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1))``
+    at the distances ``ax`` (one side) and the regulator values ``us``:
+    ``(value, err_est, fallback)``, arrays of shape ``(points, us)``.
+
+    A trapezoid in ``s = ln v``.  The integrand is analytic in a strip about
+    the real axis and decays double-exponentially at both ends, so the error
+    falls exponentially in ``1/h`` and roughly squares when ``h`` halves
+    (Trefethen & Weideman, SIAM Review 56, 2014); ``err_est`` is the squared
+    gap to the ``2h`` sum, every other node of the same sum.  Each point has
+    its own nodes and sum, so its value does not depend on the batch.
+    """
+    c = 2.0 * (rate + m) * ax
+    first = _S_FIRST - np.maximum(np.log(c), 0.0)
+    last = _S_LAST - np.log(c)
+    beyond = ~(last <= _S_MAX)
+    if beyond.any():
+        i = np.argmax(beyond)
+        raise NumericalFailureError(
+            f"coupling integral at |x1| = {float(ax[i])!r}, rate = {rate!r}: its decay rate "
+            f"2(rate+m)|x1| = {float(c[i]):.3g} spreads it past the double range of v"
+        )
+    counts = np.ceil((last - first) / _STEP).astype(int) + 1
+    starts = np.cumsum(counts) - counts
+    node = np.arange(counts.sum()) - np.repeat(starts, counts)
+    point = np.repeat(np.arange(len(ax)), counts)
+    even = 1.0 - node % 2
+    g = _log_integrand(d, m, rate, us, ax[point], first[point] + _STEP * node)
+    value = _STEP * np.add.reduceat(g, starts, axis=1).T
+    gap = np.abs(value - 2.0 * _STEP * np.add.reduceat(g * even, starts, axis=1).T)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
+    fallback = ~(gap <= _FALLBACK_DISAGREEMENT * np.abs(value))
+    for i, j in zip(*np.nonzero(fallback)):
+        value[i, j], err_est[i, j] = integrate_finite(
+            lambda t, u=us[j], x=ax[i]: _log_integrand(d, m, rate, (u,), x, t)[0],
+            first[i], last[i], _FALLBACK_SPEC,
+        )
+    return value, err_est, fallback
 
 
 def _gauss(u, tau):
@@ -338,7 +411,7 @@ class ImageSum:
 
     The methods take already validated points (see :func:`sign`) and
     evaluate every observable of both geometry modules and of the heat
-    kernels.
+    kernels; :meth:`plane_term` takes an array of points on one side.
     """
 
     head: complex
@@ -347,23 +420,41 @@ class ImageSum:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple((w, r) for w, r in self.terms if w != 0.0))
 
-    def _plane(self, cfg, x1, u):
-        # plane part of the continuation, P(d, x1, u) times the shifted bracket;
-        # P(d, x1, 0) is the plane-term prefactor
-        d, ax = cfg.d, abs(x1)
-        prefactor = (
-            2.0 ** (0.5 * (u - 3 * d + 1))
-            * (cfg.kappa * ax) ** u
-            / (math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)) * ax ** (d - 1))
-        )
-        return prefactor * self._bracket(d, cfg.m, ax, u)
-
-    def _bracket(self, d, m, ax, u):
-        # head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate), shifted by u
-        value = self.head * bessel_k_weighted(0.5 * (d - 1 - u), 2.0 * m * ax)
-        for weight, rate in self.terms:
-            value += weight * ax * _image_integral(d, m, ax, rate, u)
+    def _plane(self, cfg, x1, us):
+        # plane part of the continuation at the distances x1 (an array, one
+        # side) and the regulator values us, as (points, us) values:
+        # P(d, x1, u) times the shifted bracket; P(d, x1, 0) is the plane-term
+        # prefactor
+        d, ax = cfg.d, np.abs(x1)
+        u = np.asarray(us, dtype=float)
+        gammas = np.array([math.gamma(0.5 * (uj + 1)) for uj in us])
+        bracket = self._bracket(d, cfg.m, ax, us)
+        with np.errstate(divide="ignore", over="ignore"):
+            prefactor = (
+                2.0 ** (0.5 * (u - 3 * d + 1))
+                * (cfg.kappa * ax[:, None]) ** u
+                / (math.pi ** (0.5 * d) * gammas * ax[:, None] ** (d - 1))
+            )
+            value = prefactor * bracket
+        past = ~np.isfinite(value).all(axis=1)
+        if past.any():
+            raise ParameterError(
+                f"the plane term is past double range at |x1| = {float(ax[past][0])!r}"
+            )
         return value
+
+    def _bracket(self, d, m, ax, us):
+        # head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate), shifted by u
+        value = np.stack([self.head * bessel_k_weighted(0.5 * (d - 1 - u), 2.0 * m * ax)
+                          for u in us], axis=1)
+        for weight, rate in self.terms:
+            value += weight * ax[:, None] * _coupling_integrals(d, m, ax, rate, us)[0]
+        return value
+
+    def _continuation(self, cfg, x1, us):
+        # regularized polarization at x1 (one point) and the regulator values
+        # us, none of them a pole
+        return _with_continued_free_term(cfg, us, self._plane(cfg, np.array([x1]), us)[0])
 
     def _proper_time_bracket(self, base, image, m, ax, tau):
         # base + head e^{-m^2 tau - x1^2/tau} + sum weight/2 w-image(rate)
@@ -379,24 +470,25 @@ class ImageSum:
         s = abs(x1) + abs(y1)
         value = _gauss(x1 - y1, tau) + self.head * _gauss(s, tau)
         bound = 0.0
-        for weight, rate in self.terms:
-            decaying, growing = _w_image(rate, s, tau, m)
-            value += 0.5 * weight * decaying
-            bound += 0.5 * weight * growing
-        return math.exp(-m * m * tau) * value + bound
+        try:
+            for weight, rate in self.terms:
+                decaying, growing = _w_image(rate, s, tau, m)
+                value += 0.5 * weight * decaying
+                bound += 0.5 * weight * growing
+            value = math.exp(-m * m * tau) * value + bound
+        except OverflowError:  # a bound state's growth alone is past range
+            value = math.inf
+        if cmath.isinf(value):
+            raise ParameterError(
+                f"heat kernel is past double range at tau={tau}, x1={x1}, y1={y1}, m={m}"
+            )
+        return value
 
     def plane_term(self, cfg, x1):
-        """Closed-form plane term at ``x1`` (``m > 0``)."""
+        """Closed-form plane term at the distances ``x1``, a 1-D array of
+        points on one side (``m > 0``); one array of values."""
         _require_mass(cfg, "plane_term")
-        slowest = min((rate for _, rate in self.terms), default=math.inf)
-        if slowest + cfg.m < NEAR_THRESHOLD_MARGIN * cfg.m:
-            warnings.warn(
-                f"decay rate {slowest} is within {NEAR_THRESHOLD_MARGIN:g}*m of the "
-                "convergence boundary -m; quadrature may be slow",
-                SlowDecayWarning,
-                stacklevel=3,
-            )
-        return self._plane(cfg, x1, 0.0)
+        return self._plane(cfg, np.asarray(x1, dtype=float), (0.0,))[:, 0]
 
     def plane_term_oracle(self, cfg, x1):
         """Nested proper-time quadrature of :meth:`plane_term`; shares no
@@ -434,7 +526,7 @@ class ImageSum:
                 f"u = {u} is a pole of the meromorphic continuation (u = d-1-2l lattice)",
                 pole=d - 1 - 2 * nearest,
             )
-        return _continued_free_term(cfg, u) + self._plane(cfg, x1, u)
+        return self._continuation(cfg, x1, (u,))[0]
 
     def regularized_polarization_oracle(self, cfg, x1, u):
         """Direct proper-time representation in the strip ``u > d - 1``."""
@@ -455,25 +547,29 @@ class ImageSum:
         return cfg.kappa**u / (2.0 * gaussian_free_factor(d) * math.gamma(0.5 * (u + 1))) * value
 
     def laurent_coefficients(self, cfg, x1):
-        """Laurent data of the continuation at ``u = 0`` (four-point stencil)."""
-        return fit_laurent_at_zero(
-            lambda u: self.regularized_polarization(cfg, x1, u), _LAURENT_EPS
-        )
+        """Laurent data of the continuation at ``u = 0`` (four-point stencil,
+        one batch)."""
+        _require_mass(cfg, "regularized_polarization")
+        return _laurent_fit(self._continuation(cfg, x1, _stencil(_LAURENT_EPS)), _LAURENT_EPS)
 
     def renormalize_at_zero(self, cfg, x1, branch):
         """Regular part of the continuation at ``u = 0`` (even ``d``: direct
         value, odd ``d``: ``c0`` of the Laurent fit), cross-checked against
-        ``free_term + plane_term``; returns the exact closed-form split."""
+        ``free_term + plane_term``; returns the exact closed-form split.  At
+        odd ``d`` the plane term and the four stencil points are one batch."""
         free = free_term(cfg)
+        _require_mass(cfg, "plane_term")
+        stencil = () if cfg.d % 2 == 0 else _stencil(_LAURENT_EPS)
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", SlowDecayWarning)
-            plane = self.plane_term(cfg, x1)
-        if cfg.d % 2 == 0:
+            warnings.simplefilter("always")
+            plane, *values = self._plane(cfg, np.array([x1]), (0.0,) + stencil)[0]
+        plane = float(plane)
+        if stencil:
+            c0 = _laurent_fit(_with_continued_free_term(cfg, stencil, values), _LAURENT_EPS).c0
+        else:
             # the continuation is regular at u = 0 and its plane part there is
             # the plane term itself, so only the free part is recomputed
             c0 = _continued_free_term(cfg, 0.0) + plane
-        else:
-            c0 = self.laurent_coefficients(cfg, x1).c0
         closed = free + plane
         mismatch = abs(c0 - closed)
         # both sides carry relative rounding: near the wall at high d they

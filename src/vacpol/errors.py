@@ -48,8 +48,9 @@ class NumericalFailureError(VacpolError):
 
 
 class SlowDecayWarning(RuntimeWarning):
-    """Integrand decay rate is close to the convergence boundary; the result
-    is still computed but quadrature may be slow or lose accuracy."""
+    """A nested-quadrature oracle's integrand decays slowly (a bound state
+    reduces its proper-time decay rate); the result is still computed but
+    quadrature may be slow or lose accuracy."""
 
 
 class UnderflowToZeroWarning(RuntimeWarning):

@@ -1,9 +1,9 @@
 """Adaptive quadrature for semi-infinite, exponentially damped integrands.
 
-Thin contract layer over QUADPACK (``scipy.integrate.quad``): semi-infinite
-ranges are transformed onto ``(0, 1]`` by the rational map and subdivided
-adaptively with Gauss-Kronrod panels.  Unlike the raw scipy call, failure to
-meet the requested tolerance raises
+Thin contract layer over QUADPACK (``scipy.integrate.quad``, imported on
+the first call): semi-infinite ranges are transformed onto ``(0, 1]`` by
+the rational map and subdivided adaptively with Gauss-Kronrod panels.
+Unlike the raw scipy call, failure to meet the requested tolerance raises
 :class:`~vacpol.errors.NumericalFailureError` carrying the best estimate,
 instead of returning a silently inaccurate number.
 """
@@ -11,7 +11,6 @@ instead of returning a silently inaccurate number.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalFailureError, ParameterError
 
@@ -42,6 +41,10 @@ DEFAULT_SPEC = QuadSpec()
 
 
 def _run(f, a, b, spec):
+    # imported here: only the oracles and the rare fallbacks integrate, and
+    # the import costs more than a whole batch of plane terms
+    from scipy.integrate import quad
+
     out = quad(
         f,
         a,

@@ -57,8 +57,12 @@ def free_term(cfg):
 
 
 def plane_term(cfg, bc, x1):
-    """Boundary contribution of the reflecting wall at signed distance ``x1``."""
-    return _images(cfg, bc, x1).plane_term(cfg, x1)
+    """Boundary contribution of the reflecting wall at signed distance ``x1``.
+
+    ``x1`` is a float or a 1-D array of distances; an array gives an array,
+    evaluated as one batch per side (a float is a batch of one).
+    """
+    return core.plane_term(cfg, bc, x1)
 
 
 def plane_term_dn(cfg, x1, sign_dn):
@@ -66,7 +70,7 @@ def plane_term_dn(cfg, x1, sign_dn):
     if sign_dn not in (1, -1):
         raise ParameterError("sign_dn must be +1 (Neumann) or -1 (Dirichlet)")
     sign(x1)
-    return ImageSum(float(sign_dn)).plane_term(cfg, x1)
+    return float(ImageSum(float(sign_dn)).plane_term(cfg, [x1])[0])
 
 
 def plane_term_oracle(cfg, bc, x1):

@@ -103,8 +103,10 @@ def free_term(cfg):
 
 
 def plane_term(cfg, bc, x1):
-    """Boundary contribution of the semitransparent wall at signed ``x1``."""
-    return _images(cfg, bc, x1).plane_term(cfg, x1)
+    """Boundary contribution of the semitransparent wall at signed ``x1``, a
+    float or a 1-D array of distances (one batch per side, as in
+    :func:`vacpol.reflecting.plane_term`)."""
+    return core.plane_term(cfg, bc, x1)
 
 
 def plane_term_oracle(cfg, bc, x1):

@@ -31,6 +31,7 @@ All functions are pure and stateless; concurrent calls are safe.
 import math
 import warnings
 
+import numpy as np
 from scipy.special import erfcx as _erfcx
 from scipy.special import exp1, expn, exprel, gammaincc, kve
 
@@ -104,44 +105,61 @@ def _small_w_scaled(nu, w):
     return lead * (1.0 - w * w / (4.0 * nu - 4.0)) if nu > 1.0 else lead
 
 
-def _k_weighted_scaled_core(nu, w):
-    # e^w w^nu K_nu(w), K even in nu; inf or OverflowError past double range
+def _k_weighted_scaled(nu, w):
+    # e^w w^nu K_nu(w) over the array w, K even in nu; inf past double range
     order = abs(nu)
-    if w > _HANKEL_ARG:
-        # kve returns nan out here; three Hankel terms reach double precision
-        # for |nu| <= 50
-        mu = 4.0 * nu * nu
-        z = 8.0 * w
-        series = 1.0 + (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)
-        return math.sqrt(0.5 * math.pi) * series * w ** (nu - 0.5)
-    k = float(kve(order, w))
-    if math.isinf(k):
-        # w**(nu - order) is 1 for nu >= 0 and the weight of a negative order
-        return _small_w_scaled(order, w) * w ** (nu - order)
-    try:
-        return k * w**nu
-    except OverflowError:
-        # w**nu alone is past range (|nu| near 50, w above 1e6); the product may not be
-        half = w ** (0.5 * nu)
-        return k * half * half
-
-
-def _weighted(name, nu, w, factor):
-    # factor * e^w w^nu K_nu(w), or ParameterError past double range
-    try:
-        value = _k_weighted_scaled_core(nu, w) * factor
-    except OverflowError:
-        value = math.inf
-    if math.isinf(value):
-        raise ParameterError(f"{name} is past double range at nu={nu}, w={w}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = kve(order, w)
+        value = k * w**nu
+        if np.isfinite(value).all():
+            return value
+        split = np.isinf(value) & np.isfinite(k)
+        if split.any():
+            # w**nu alone is past range (|nu| near 50, w above 1e6); the product may not be
+            half = w[split] ** (0.5 * nu)
+            value[split] = k[split] * half * half
+        hankel = w > _HANKEL_ARG
+        if hankel.any():
+            # kve returns nan out here; three Hankel terms reach double
+            # precision for |nu| <= 50
+            wh = w[hankel]
+            mu = 4.0 * nu * nu
+            z = 8.0 * wh
+            series = 1.0 + (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)
+            value[hankel] = math.sqrt(0.5 * math.pi) * series * wh ** (nu - 0.5)
+        small = np.isinf(k) & ~hankel
+        if small.any():
+            # w**(nu - order) is 1 for nu >= 0 and the weight of a negative order
+            value[small] = [_small_w_scaled(order, x) * np.float64(x) ** (nu - order)
+                            for x in w[small]]
     return value
 
 
-def _check_order_and_argument(name, nu, w):
-    if not w > 0.0:
-        raise ParameterError(f"{name} requires w > 0, got w={w}")
+def _weighted(name, nu, w, scaled):
+    # e^w w^nu K_nu(w) (without e^w unless scaled) for a float or an array w,
+    # or ParameterError past double range
+    ws = np.atleast_1d(np.asarray(w, dtype=float))
+    positive = ws > 0.0
+    if not positive.all():
+        raise ParameterError(f"{name} requires w > 0, got w={ws[~positive][0]}")
     if not abs(nu) <= _MAX_ORDER:
         raise ParameterError(f"{name} supports |nu| <= {_MAX_ORDER}, got nu={nu}")
+    value = _k_weighted_scaled(nu, ws)
+    if not scaled:
+        flushed = ws > UNDERFLOW_ARG
+        if flushed.any():
+            warnings.warn(
+                f"{name} argument beyond the exp(-w) underflow floor; value flushed to zero",
+                UnderflowToZeroWarning,
+                stacklevel=3,
+            )
+            value = np.where(flushed, 0.0, value * np.exp(-np.minimum(ws, UNDERFLOW_ARG)))
+        else:
+            value = value * np.exp(-ws)
+    past = np.isinf(value)
+    if past.any():
+        raise ParameterError(f"{name} is past double range at nu={nu}, w={ws[past][0]}")
+    return float(value[0]) if np.ndim(w) == 0 else value.reshape(np.shape(w))
 
 
 def bessel_k_weighted(nu, w):
@@ -162,12 +180,12 @@ def bessel_k_weighted(nu, w):
     nu : float
         Real order, ``|nu| <= 50``.  Negative orders are mapped through
         ``K_{-nu} = K_nu``.
-    w : float
-        Positive argument.
+    w : float or array of float
+        Positive argument(s); an array gives an array of the same shape.
 
     Returns
     -------
-    float
+    float or numpy.ndarray
         ``w**nu * K_nu(w)``.  Arguments beyond ``w ~ 705`` are in the
         ``exp(-w)`` underflow regime; the value is flushed to ``0.0`` and
         an :class:`~vacpol.errors.UnderflowToZeroWarning` is emitted.
@@ -178,16 +196,7 @@ def bessel_k_weighted(nu, w):
         If ``w <= 0``, if ``|nu| > 50`` or ``nu`` is NaN, or if the value
         is past double range (a large negative order at small ``w``).
     """
-    _check_order_and_argument("bessel_k_weighted", nu, w)
-    if w > UNDERFLOW_ARG:
-        warnings.warn(
-            "bessel_k_weighted argument beyond the exp(-w) underflow floor; "
-            "value flushed to zero",
-            UnderflowToZeroWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return _weighted("bessel_k_weighted", nu, w, math.exp(-w))
+    return _weighted("bessel_k_weighted", nu, w, scaled=False)
 
 
 def bessel_k_weighted_scaled(nu, w):
@@ -196,13 +205,12 @@ def bessel_k_weighted_scaled(nu, w):
 
     Grows only algebraically (like ``w**(nu - 1/2)``) at large arguments,
     so products with extraneous exponentials can be assembled in a single
-    ``exp`` call without intermediate under/overflow.  Same accuracy and
-    order range as :func:`bessel_k_weighted`; raises
+    ``exp`` call without intermediate under/overflow.  Same accuracy, order
+    range and array handling as :func:`bessel_k_weighted`; raises
     :class:`~vacpol.errors.ParameterError` where the value is past double
     range (large orders at huge ``w``, large negative orders at small ``w``).
     """
-    _check_order_and_argument("bessel_k_weighted_scaled", nu, w)
-    return _weighted("bessel_k_weighted_scaled", nu, w, 1.0)
+    return _weighted("bessel_k_weighted_scaled", nu, w, scaled=True)
 
 
 # ---------------------------------------------------------------------------
@@ -277,15 +285,19 @@ def upper_gamma(a, z):
     if a > 0.0:
         return math.gamma(a) * float(gammaincc(a, z))
     n = int(math.ceil(-a))
-    if a == -n:
-        return float(expn(n + 1, z)) * z**a
-    a0 = a + n
-    g = math.gamma(a0) * float(gammaincc(a0, z))
-    ez = math.exp(-z)
-    for _ in range(n):
-        a0 -= 1.0
-        g = (g - z**a0 * ez) / a0
-    return g
+    try:
+        if a == -n:
+            return float(expn(n + 1, z)) * z**a
+        a0 = a + n
+        g = math.gamma(a0) * float(gammaincc(a0, z))
+        ez = math.exp(-z)
+        for _ in range(n):
+            a0 -= 1.0
+            g = (g - z**a0 * ez) / a0
+        return g
+    except OverflowError:
+        # z**a alone is past double range, and so is Gamma(a, z) ~ -z**a/a
+        raise ParameterError(f"upper_gamma is past double range at a={a}, z={z}") from None
 
 
 def upper_gamma_scaled(n, w):

@@ -166,6 +166,7 @@ class TestHeatKernel:
         (["--m=nan"], "m"),
         (["--geometry=semitransparent", "--alpha=nan"], "alpha"),
         (["--geometry=semitransparent", "--omega-re=nan"], "omega"),
+        (["--b-plus=-40", "--tau=3", "--x=0.5", "--y=0.5"], "b_plus"),
     ])
     def test_bad_parameters_exit_2(self, argv, field):
         out = run_cli("heat-kernel", "--tau", "0.5", "--x", "0.7", "--y", "0.3", *argv)
@@ -260,3 +261,16 @@ def test_rows_follow_redirected_stdout(argv, rows):
     with contextlib.redirect_stdout(buffer):
         assert main(argv) == 0
     assert len(json.loads(buffer.getvalue())["rows"]) == rows
+
+
+def test_massive_profile_leaves_scipy_integrate_unloaded():
+    # QUADPACK serves only the oracles and the fallback of the coupling
+    # integral; a plain profile must not pay for its import
+    code = ("import contextlib, io, sys\n"
+            "import vacpol.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert vacpol.cli.main(['profile', '--b-plus=2', '--points=3']) == 0\n"
+            "print('scipy.integrate' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

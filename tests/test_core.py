@@ -141,8 +141,9 @@ def test_renormalize_consistency_still_rejects_relative_mismatch(monkeypatch, mo
     from vacpol import core
     from vacpol.errors import NumericalFailureError
 
-    exact = core.ImageSum.regularized_polarization
-    monkeypatch.setattr(core.ImageSum, "regularized_polarization",
-                        lambda self, cfg, x1, u: exact(self, cfg, x1, u) * (1.0 + 1e-5))
+    # the stencil values of the Laurent fit, one batch with the plane term
+    exact = core._with_continued_free_term
+    monkeypatch.setattr(core, "_with_continued_free_term",
+                        lambda cfg, us, planes: [v * (1.0 + 1e-5) for v in exact(cfg, us, planes)])
     with pytest.raises(NumericalFailureError):
         mod.renormalize_at_zero(FieldConfig(d, 1.0), bc, 0.05)

@@ -107,6 +107,11 @@ class TestRobinHalfLine:
         with pytest.raises(ParameterError, match="^b "):
             robin_half_line_kernel(HeatQuery(1.0, 1.0, 1.0), math.nan)
 
+    def test_past_double_range_is_a_parameter_error(self):
+        # below -m the bound state grows like e^{tau b^2}: e^4760 here
+        with pytest.raises(ParameterError, match="past double range"):
+            robin_half_line_kernel(HeatQuery(3.0, 0.5, 0.5), -40.0)
+
     def test_wform_oracle_agreement(self):
         for tau, x, y, b in ((0.5, 0.7, 0.4, 1.0), (1.0, 1.0, 1.0, -0.5), (0.2, 0.3, 1.2, 2.0)):
             q = HeatQuery(tau, x, y)

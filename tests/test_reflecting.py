@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies
 
 from vacpol.core import FieldConfig
 from vacpol.errors import InfraredDivergenceError, ParameterError, PoleError
@@ -115,11 +117,16 @@ class TestPlaneTerm:
             plane_term_dn(cfg, 0.0, +1)
 
     def test_near_threshold_warning(self):
+        # the coupling integral is as fast and accurate near the threshold as
+        # away from it, so only the oracle, slowed by the bound state, warns
+        import warnings
+
         from vacpol.errors import SlowDecayWarning
 
         cfg = FieldConfig(2, 1.0)
-        with pytest.warns(SlowDecayWarning):
-            plane_term(cfg, ReflectingBC.robin(-1.0 + 1e-8), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", SlowDecayWarning)
+            assert math.isfinite(plane_term(cfg, ReflectingBC.robin(-1.0 + 1e-8), 1.0))
         with pytest.warns(SlowDecayWarning):
             plane_term_oracle(cfg, ReflectingBC.robin(-0.4), 1.0)
 
@@ -279,3 +286,21 @@ class TestSpectrum:
 def test_validation_suite_passes():
     for result in check_reflecting():
         assert result.passed, f"{result.name}: {result.deviation} > {result.tolerance}"
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=strategies.integers(1, 11),
+    x1=strategies.floats(-6.0, 0.7).map(lambda e: 10.0**e),
+    b=strategies.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    step=strategies.floats(1.001, 100.0),
+)
+def test_robin_between_dirichlet_and_neumann_and_monotone(d, x1, b, step):
+    # a stiffer face (larger b) lowers the plane term, from Neumann at b = 0
+    # towards Dirichlet
+    cfg = FieldConfig(d, 1.0)
+    neumann, dirichlet = plane_term_dn(cfg, x1, 1), plane_term_dn(cfg, x1, -1)
+    soft, stiff = (plane_term(cfg, ReflectingBC.robin(c), x1) for c in (b, b * step))
+    slack = 1e-12 * neumann
+    assert dirichlet - slack <= stiff <= soft + slack <= neumann + 2.0 * slack

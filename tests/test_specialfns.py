@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 from scipy.integrate import quad
@@ -127,6 +128,22 @@ class TestWeightedBesselK:
         with pytest.raises(ParameterError, match=r"nu=.*w="):
             fn(nu, w)
 
+    def test_arrays_match_points(self):
+        # one code path: every edge (w**nu split, Hankel, small-w series,
+        # underflow flush) gives each array element its single-point value
+        edges = [2e9, 1e-310, 0.7, 800.0]
+        cases = [(50.0, [1.5e6, 3e-5, 0.7])] + [(nu, edges) for nu in (0.0, 0.3, 2.5, -0.2)]
+        for fn in (bessel_k_weighted, bessel_k_weighted_scaled):
+            for nu, w in cases:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UnderflowToZeroWarning)
+                    got = fn(nu, w)
+                    assert list(got) == [fn(nu, x) for x in w]
+        with pytest.warns(UnderflowToZeroWarning):
+            assert list(bessel_k_weighted(1.0, [800.0, 1.0]))[0] == 0.0
+        with pytest.raises(ParameterError, match="w=-1.0"):
+            bessel_k_weighted_scaled(1.0, [1.0, -1.0])
+
     def test_representable_edge_values_do_not_raise(self):
         # w**nu alone overflows here, the product does not
         assert math.isfinite(bessel_k_weighted_scaled(50.0, 1.5e6))
@@ -138,6 +155,11 @@ class TestWeightedBesselK:
 
 
 class TestUpperGamma:
+    @pytest.mark.parametrize("a, z", [(-20.0, 1e-20), (-19.5, 1e-20)])
+    def test_past_double_range_is_a_parameter_error(self, a, z):
+        with pytest.raises(ParameterError, match=r"a=.*z="):
+            upper_gamma(a, z)
+
     def test_a1_exact(self):
         assert upper_gamma(1.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
 

@@ -7,7 +7,7 @@ with ``L = +1`` (Neumann, Robin) or ``L = -1`` (Dirichlet).  The boundary
 conditions (``ReflectingBC.images``, ``SemitransparentBC.images``) only map
 a pair of points to that record; every observable -- heat kernel, plane
 term, regulator continuation and its Laurent renormalization,
-nested-quadrature oracles, asymptotic laws and massless limits -- is
+proper-time oracles, asymptotic laws and massless limits -- is
 evaluated here from it.
 """
 
@@ -346,7 +346,7 @@ def _gauss(u, tau):
 def _w_image(c, s, tau, m):
     # (4 pi tau)^{-1/2} int_0^inf dw e^{-c w - (w+s)^2/(4 tau)}
     #   = e^{-s^2/(4 tau)} erfcx(c sqrt(tau) + s/(2 sqrt(tau))) / 2,
-    # as (part the kernel scales by e^{-m^2 tau}, bound-state part).  Below a
+    # as (part to be scaled by e^{-m^2 tau}, bound-state part).  Below a
     # zero erfcx argument (bound state, c < 0) the growth e^{tau c^2 + c s} is
     # split off with the mass folded into its exponent: for a deep bound state
     # (m > |c| >> 1) e^{-m^2 tau} and e^{tau c^2} leave double range alone
@@ -355,28 +355,6 @@ def _w_image(c, s, tau, m):
     if arg >= 0.0:
         return decaying, 0.0
     return -decaying, math.exp(tau * (c * c - m * m) + c * s)
-
-
-def _w_image_integral(b, ax, tau, spec, m=0.0):
-    # int_0^inf dw e^{-m^2 tau - b w - (w + 2|x|)^2/(4 tau)}; the mass factor is
-    # folded into the exponent so the peak never overflows for |b| < m even at
-    # the huge proper times the outer adaptive quadrature samples
-    mt = m * m * tau
-    s = 2.0 * ax
-    w_peak = -2.0 * b * tau - s
-    peak = -mt + (b * b * tau + b * s if w_peak > 0.0 else -s * s / (4.0 * tau))
-    if peak < -370.0:
-        # peak below e^-370: the exact tail is invisible next to any
-        # representable plane value, while pure-relative quadrature of such a
-        # spike would only stall on roundoff
-        return 0.0
-
-    def f(w):
-        expo = -mt - b * w - (w + s) ** 2 / (4.0 * tau)
-        return math.exp(expo) if expo > -745.0 else 0.0
-
-    value, _ = integrate_semi_infinite(f, spec)
-    return value
 
 
 @dataclass(frozen=True)
@@ -457,10 +435,14 @@ class ImageSum:
         return _with_continued_free_term(cfg, us, self._plane(cfg, np.array([x1]), us)[0])
 
     def _proper_time_bracket(self, base, image, m, ax, tau):
-        # base + head e^{-m^2 tau - x1^2/tau} + sum weight/2 w-image(rate)
+        # base + head e^{-m^2 tau - x1^2/tau} + sum weight/2 w-image(rate), each
+        # w-image int_0^inf dw e^{-m^2 tau - rate w - (w+2|x1|)^2/(4 tau)} in the
+        # kernel's erfcx form, the mass folded into the bound-state exponent
         value = base + self.head * image
+        root, mass = math.sqrt(4.0 * math.pi * tau), math.exp(-m * m * tau)
         for weight, rate in self.terms:
-            value += 0.5 * weight * _w_image_integral(rate, ax, tau, _ORACLE_SPEC, m)
+            decaying, growing = _w_image(rate, 2.0 * ax, tau, m)
+            value += 0.5 * weight * root * (mass * decaying + growing)
         return value
 
     def kernel(self, tau, x1, y1, m):
@@ -491,8 +473,9 @@ class ImageSum:
         return self._plane(cfg, np.asarray(x1, dtype=float), (0.0,))[:, 0]
 
     def plane_term_oracle(self, cfg, x1):
-        """Nested proper-time quadrature of :meth:`plane_term`; shares no
-        code with the Bessel closed form."""
+        """Proper-time quadrature of :meth:`plane_term`, one adaptive rule in
+        ``tau`` over the erfcx image of :meth:`kernel`; shares no code with
+        the Bessel closed form or the coupling integral."""
         _require_mass(cfg, "plane_term_oracle")
         slowest = min((rate for _, rate in self.terms), default=math.inf)
         if slowest < 0.0:
@@ -506,8 +489,7 @@ class ImageSum:
         d, m, ax = cfg.d, cfg.m, abs(x1)
 
         def integrand(tau):
-            expo = -m * m * tau - ax * ax / tau  # e^{-m^2 tau - x1^2/tau}, the mirror image
-            image = math.exp(expo) if expo > -745.0 else 0.0
+            image = math.exp(-m * m * tau - ax * ax / tau)  # the mirror image
             return tau ** (-0.5 * (d + 1)) * self._proper_time_bracket(0.0, image, m, ax, tau)
 
         value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
@@ -537,8 +519,6 @@ class ImageSum:
 
         def integrand(tau):
             mt = m * m * tau
-            if mt > 745.0:
-                return 0.0
             image = math.exp(-mt - ax * ax / tau)
             bracket = self._proper_time_bracket(math.exp(-mt), image, m, ax, tau)
             return tau ** (0.5 * (u - d - 1)) * bracket

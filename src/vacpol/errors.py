@@ -48,8 +48,8 @@ class NumericalFailureError(VacpolError):
 
 
 class SlowDecayWarning(RuntimeWarning):
-    """A nested-quadrature oracle's integrand decays slowly (a bound state
-    reduces its proper-time decay rate); the result is still computed but
+    """A proper-time oracle's integrand decays slowly (a bound state
+    reduces its decay rate in ``tau``); the result is still computed but
     quadrature may be slow or lose accuracy."""
 
 

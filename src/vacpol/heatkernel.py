@@ -25,9 +25,9 @@ expansion are retained as independent oracles.
 import math
 from dataclasses import dataclass
 
-from .core import ImageSum, _gauss, _w_image_integral, sign
+from .core import ImageSum, _gauss, sign
 from .errors import ParameterError
-from .quadrature import QuadSpec, integrate_finite
+from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
 __all__ = [
     "DIRICHLET",
@@ -256,6 +256,21 @@ def robin_half_line_kernel(q, b, m=0.0):
     return ReflectingBC.robin(b).images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
 
 
+def _w_image_integral(b, s, tau, spec):
+    # int_0^inf dw e^{-b w - (w+s)^2/(4 tau)}.  A bound state (b < 0) puts the
+    # Gaussian peak at w* = -2 b tau - s, far out at large tau, where one
+    # adaptive rule over the whole half-line misses it: the range splits there
+    def f(w):
+        return math.exp(-b * w - (w + s) ** 2 / (4.0 * tau))
+
+    peak = -2.0 * b * tau - s
+    if peak <= 0.0:
+        return integrate_semi_infinite(f, spec)[0]
+    rise, _ = integrate_finite(f, 0.0, peak, spec)
+    fall, _ = integrate_semi_infinite(lambda w: f(peak + w), spec)
+    return rise + fall
+
+
 def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
     """Secondary oracle: the same kernel with the coupling term kept as the
     ``w``-integral ``(b/sqrt(pi tau)) int_0^inf e^{-b w - (w+x+y)^2/(4 tau)} dw``."""
@@ -265,7 +280,7 @@ def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
     tau = q.tau
     value = _gauss(q.x1 - q.y1, tau) + _gauss(s, tau)
     if b != 0.0:
-        value -= b / math.sqrt(math.pi * tau) * _w_image_integral(b, 0.5 * s, tau, spec)
+        value -= b / math.sqrt(math.pi * tau) * _w_image_integral(b, s, tau, spec)
     return math.exp(-m * m * tau) * value
 
 

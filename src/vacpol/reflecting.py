@@ -15,7 +15,7 @@ the boundary dependence.  Neumann (``b = 0``) and Dirichlet reduce to
 observable below, the face is head ``+1`` with the image ``(-4b, b)``, or
 head ``-1``.  Every closed form here is cross-checked by an independent
 brute-force oracle that integrates the underlying proper-time
-representation by nested quadrature.
+representation by adaptive quadrature.
 
 Conventions: ``x1`` is the signed distance from the wall and must be
 finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
@@ -82,8 +82,9 @@ def plane_term_oracle(cfg, bc, x1):
         1/(2 (4 pi)^{d/2} Gamma(1/2)) int_0^inf dtau tau^{-(d+1)/2} e^{-m^2 tau}
             [ e^{-x1^2/tau} - 2 b int_0^inf dw e^{-b w - (w+2|x1|)^2/(4 tau)} ],
 
-    by nested adaptive quadrature.  Slow (two quadrature levels) but shares
-    no code path with the closed form above.
+    by one adaptive quadrature in ``tau``, the inner ``w``-integral in its
+    ``erfcx`` closed form (the heat kernel's image term).  Shares no code
+    path with the Bessel closed form above.
     """
     return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 

@@ -110,7 +110,7 @@ def plane_term(cfg, bc, x1):
 
 
 def plane_term_oracle(cfg, bc, x1):
-    """Nested proper-time quadrature of the plane part; independent oracle."""
+    """Proper-time quadrature of the plane part; independent oracle."""
     return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 
 

@@ -68,7 +68,7 @@ WALLS = {
 DIMS = tuple(range(1, 12))
 XS = (-5.0, -1.4, -0.3, -0.05, 0.05, 0.3, 1.4, 5.0)
 US = (-0.5, 0.5)
-# a few nested-quadrature points per family: (wall, d, x1)
+# a few proper-time oracle points per family: (wall, d, x1)
 ORACLE_POINTS = (
     ("robin_2", 2, 0.3), ("robin_m0.4", 5, -1.4), ("dirichlet_robin", 3, -0.3),
     ("delta_plus", 2, 0.3), ("delta_minus", 5, -1.4), ("skew_delta", 3, -0.3),

@@ -119,6 +119,14 @@ class TestRobinHalfLine:
                 robin_half_line_kernel_wform(q, b), abs=1e-10
             )
 
+    def test_wform_bound_state_peak_far_out(self):
+        # b = -1 at tau = 300 puts the Gaussian peak of the w-integral at
+        # w* = 600 - 1.3, which one rule over the whole half-line missed
+        q = HeatQuery(300.0, 0.5, 0.8)
+        assert robin_half_line_kernel_wform(q, -1.0) == pytest.approx(
+            robin_half_line_kernel(q, -1.0), rel=1e-10
+        )
+
     def test_spectral_oracle_agreement(self):
         points = [
             (0.5, 0.7, 0.4, 1.0, 0.0),

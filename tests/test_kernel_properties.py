@@ -6,14 +6,16 @@ both wall families at once.
 
 import cmath
 import math
+import sys
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from vacpol.core import _w_image
 from vacpol.heatkernel import (
     DIRICHLET,
     HeatQuery,
@@ -84,3 +86,50 @@ faces = st.one_of(st.just(DIRICHLET), st.floats(-0.9, 20.0))
 def test_reflecting_kernel_vanishes_across_the_wall(b_plus, b_minus, tau, x, y, side, m):
     q = HeatQuery(tau, side * x, -side * y)
     assert reflecting_kernel(q, ReflectingBC(b_plus, b_minus), m) == 0.0
+
+
+def _image_reference(rate, s, tau, m):
+    # int_0^inf dw e^{-m^2 tau - rate w - (w+s)^2/(4 tau)} by 30-digit mpmath.quad,
+    # with breakpoints at the integrand's maximum (the Gaussian peak w* where it
+    # is inside the range) and at doubling distances of its width around it;
+    # the integrand is scaled to 1 there, since the quadrature's error control
+    # is absolute
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c, s, t, m = (mpmath.mpf(v) for v in (rate, s, tau, m))
+
+        def exponent(w):
+            return -m * m * t - c * w - (w + s) ** 2 / (4 * t)
+
+        peak = -2 * c * t - s
+        width = mpmath.sqrt(2 * t)
+        if peak < 0:  # the integrand falls from w = 0 at the rate c + s/(2 tau) at least
+            width = min(width, 1 / (c + s / (2 * t)))
+        centre = max(peak, 0)
+        top = exponent(centre)
+        points = {centre} | {centre + side * width * 2**k for k in range(6) for side in (-1, 1)}
+        points = [0] + sorted(p for p in points if p > 0) + [mpmath.inf]
+        return float(mpmath.exp(top) * mpmath.quad(lambda w: mpmath.exp(exponent(w) - top), points))
+
+
+@st.composite
+def images(draw):
+    """A mass, an admissible image rate in (-0.999 m, 50] (a bound state as
+    often as not), a distance and a proper time."""
+    m = draw(st.floats(0.1, 2.0))
+    rate = draw(st.one_of(st.floats(-0.999 * m, 0.0, exclude_min=True), st.floats(0.0, 50.0)))
+    return rate, 2.0 * draw(st.floats(0.01, 10.0)), draw(st.floats(1e-3, 1e3)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(images())
+@example((-1.3994, 2 * 0.8184, 103.13, 1.5359))  # w* = 287: QUADPACK over w missed it
+def test_erfcx_image_against_mpmath(image):
+    # the proper-time oracles integrate this closed form of the image integral
+    # in place of a quadrature in w: sqrt(4 pi tau) (e^{-m^2 tau} decaying + growing)
+    rate, s, tau, m = image
+    decaying, growing = _w_image(rate, s, tau, m)
+    got = math.sqrt(4.0 * math.pi * tau) * (math.exp(-m * m * tau) * decaying + growing)
+    ref = _image_reference(rate, s, tau, m)
+    # relative, against the smallest normal double below it
+    assert abs(got - ref) <= 1e-12 * max(ref, sys.float_info.min)

@@ -84,6 +84,17 @@ class TestPlaneTerm:
             plane_term_oracle(cfg, bc, 0.5), rel=1e-8
         )
 
+    @pytest.mark.parametrize("d", (1, 3, 7, 11))
+    @pytest.mark.parametrize("fraction", (-0.99, -0.999, -0.99999))
+    def test_oracle_up_to_threshold(self, fraction, d):
+        # the bound state puts the Gaussian peak of the oracle's image integral
+        # far out in w at large tau, where its erfcx form still holds it
+        cfg = FieldConfig(d, 1.0)
+        bc = ReflectingBC.robin(fraction * cfg.m)
+        assert plane_term_oracle(cfg, bc, 0.7) == pytest.approx(
+            plane_term(cfg, bc, 0.7), rel=1e-8
+        )
+
     def test_huge_coupling_approaches_dirichlet(self):
         cfg = FieldConfig(3, 1.0)
         got = plane_term(cfg, ReflectingBC.robin(1e6), 1.0)
@@ -139,6 +150,17 @@ class TestRegularized:
             direct = regularized_polarization_oracle(cfg, bc, 0.7, u)
             continued = regularized_polarization(cfg, bc, 0.7, u)
             assert continued == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("d", (1, 2, 3))
+    @pytest.mark.parametrize("fraction", (-0.99, -0.999))
+    def test_strip_oracle_up_to_threshold(self, fraction, d):
+        # the bound state decays like e^{-(m^2 - b^2) tau}, far past m^2 tau = 745
+        cfg = FieldConfig(d, 1.0)
+        bc = ReflectingBC.robin(fraction * cfg.m)
+        u = d - 0.5
+        assert regularized_polarization_oracle(cfg, bc, 0.7, u) == pytest.approx(
+            regularized_polarization(cfg, bc, 0.7, u), rel=1e-8
+        )
 
     def test_even_d_value_at_zero(self):
         cfg = FieldConfig(2, 1.0)

@@ -157,6 +157,15 @@ class TestPlaneTerm:
             plane_term_oracle(cfg, bc, 0.8), rel=1e-8
         )
 
+    @pytest.mark.parametrize("d", (1, 3, 7, 11))
+    def test_oracle_up_to_threshold(self, d):
+        # c = gamma/2 = -(1 - 1e-4) m: a bound state just above the threshold
+        cfg = FieldConfig(d, 1.0)
+        bc = SemitransparentBC.delta(-2.0 * (1.0 - 1e-4) * cfg.m)
+        assert plane_term_oracle(cfg, bc, 0.7) == pytest.approx(
+            plane_term(cfg, bc, 0.7), rel=1e-8
+        )
+
     def test_parity_for_symmetric_matrix(self):
         cfg = FieldConfig(3, 1.0)
         for bc in (SemitransparentBC.delta(1.5), SemitransparentBC.delta_prime(0.7)):

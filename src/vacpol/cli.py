@@ -8,11 +8,17 @@ positivity violation, 3 infrared divergence, 4 numerical failure.
 Output is deterministic: the plane terms of a grid are one batch per side
 of the wall, rows come in ascending ``x1`` order, and every float is
 printed in its shortest round-trip decimal form.  An optional ``--config
-FILE`` reads ``key=value`` lines (keys are the long flag names); explicit
-flags win.
+FILE`` reads ``key=value`` lines (keys are the long flag names); each entry
+acts as a flag placed right after the sub-command, before the explicit
+ones, so explicit flags win.  An unreadable file, an unknown key or a value
+its flag rejects exits 2 with a message naming the file or the key.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and only read after that: a config file never changes its defaults.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -340,50 +346,73 @@ def build_parser():
     return parser, children
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built once per process; nothing
+    writes to it after that."""
+    return build_parser()
+
+
 def _load_config(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"config line without '=': {raw.rstrip()}")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParameterError(f"cannot read config file {path!r}: {reason}") from None
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"config line without '=' in {path!r}: {raw.rstrip()}")
+        key, value = line.split("=", 1)
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
-def _apply_config(children, argv):
-    boot = argparse.ArgumentParser(add_help=False)
-    boot.add_argument("--config", default=None)
-    known, rest = boot.parse_known_args(argv)
-    if known.config is None:
-        return
-    command = next((tok for tok in rest if not tok.startswith("-")), None)
-    if command not in children:
-        return
-    child = children[command]
-    converters = {
-        action.dest: (action.type or str) for action in child._actions if action.dest != "help"
-    }
-    values = _load_config(known.config)
-    defaults = {}
-    for key, text in values.items():
-        if key not in converters:
+def _config_argv(children, argv):
+    """``argv`` with the ``--config`` file's entries as ``--flag=value``
+    tokens right after the sub-command, where the explicit flags that
+    follow override them."""
+    # the top-level grammar alone: the config file, the sub-command and
+    # the tokens after it
+    boot = argparse.ArgumentParser(prog="vacpol", add_help=False)
+    boot.add_argument("--config")
+    boot.add_argument("command", nargs="?")
+    boot.add_argument("rest", nargs=argparse.REMAINDER)
+    known, _ = boot.parse_known_args(argv)
+    command = known.command
+    actions = {action.dest: action for action in children[command]._actions
+               if action.dest != "help"}
+    tokens = []
+    for key, text in _load_config(known.config).items():
+        action = actions.get(key)
+        if action is None:
             raise ParameterError(f"config key {key!r} is not a flag of '{command}'")
-        conv = converters[key]
-        defaults[key] = conv(text) if conv is not None else text
-    child.set_defaults(**defaults)
+        try:
+            value = action.type(text) if action.type is not None else text
+        except (ValueError, TypeError):
+            raise ParameterError(f"config key {key!r}: invalid value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ParameterError(f"config key {key!r}: {text!r} is not one of "
+                                 f"{', '.join(map(str, action.choices))}")
+        tokens.append(f"{action.option_strings[0]}={text}")
+    at = len(argv) - len(known.rest)
+    return argv[:at] + tokens + argv[at:]
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, children = build_parser()
+    parser, children = _parser()
     try:
-        _apply_config(children, argv)
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.config is not None:  # parse again, with the file's entries as flags
+            args = parser.parse_args(_config_argv(children, argv))
+        # looked up by name per call: a binding replaced after the parser was
+        # built (a test double, a tracing wrapper) is the one that runs
+        return globals()[args.func.__name__](args)
     except ParameterError as exc:
         print(f"vacpol: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -354,7 +354,7 @@ def _w_image(c, s, tau, m):
     decaying = 0.5 * erfcx(abs(arg)) * math.exp(-s * s / (4.0 * tau))
     if arg >= 0.0:
         return decaying, 0.0
-    return -decaying, math.exp(tau * (c * c - m * m) + c * s)
+    return -decaying, math.exp(tau * ((c - m) * (c + m)) + c * s)
 
 
 @dataclass(frozen=True)

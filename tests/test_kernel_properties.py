@@ -133,3 +133,19 @@ def test_erfcx_image_against_mpmath(image):
     ref = _image_reference(rate, s, tau, m)
     # relative, against the smallest normal double below it
     assert abs(got - ref) <= 1e-12 * max(ref, sys.float_info.min)
+
+
+@pytest.mark.parametrize("rate, m, tau", [(-1.998, 2.0, 1e3), (-0.99999, 1.0, 1e5)])
+def test_bound_state_image_near_threshold(rate, m, tau):
+    # near the threshold c^2 - m^2 cancels in the bound-state exponent; its
+    # rounding, multiplied by tau, cost 1.1e-13 and 8.3e-13 here when the
+    # exponent was formed as tau (c c - m m) rather than tau (c - m)(c + m)
+    mpmath = pytest.importorskip("mpmath")
+    s = 1.4
+    decaying, growing = _w_image(rate, s, tau, m)
+    got = math.exp(-m * m * tau) * decaying + growing
+    with mpmath.workdps(40):
+        c, s, t, m = (mpmath.mpf(v) for v in (rate, s, tau, m))
+        arg = c * mpmath.sqrt(t) + s / (2 * mpmath.sqrt(t))
+        ref = mpmath.exp(t * (c * c - m * m) + c * s) * mpmath.erfc(arg) / 2
+    assert abs(got - ref) <= 1e-14 * ref

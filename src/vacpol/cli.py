@@ -303,45 +303,38 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     children = {}
 
-    p = sub.add_parser("profile", help="tabulate free/plane/total and asymptotics on a grid")
-    _add_field_args(p)
-    _add_bc_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_profile)
-    children["profile"] = p
+    def command(name, func, help_text):
+        p = children[name] = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("asymptotics", help="leading-order curves alone")
-    _add_field_args(p)
-    _add_bc_args(p)
-    _add_grid_args(p)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_asymptotics)
-    children["asymptotics"] = p
+    for name, func, help_text in (
+        ("profile", cmd_profile, "tabulate free/plane/total and asymptotics on a grid"),
+        ("asymptotics", cmd_asymptotics, "leading-order curves alone"),
+    ):
+        p = command(name, func, help_text)
+        _add_field_args(p)
+        _add_bc_args(p)
+        _add_grid_args(p)
+        _add_output_args(p)
 
-    p = sub.add_parser("spectrum", help="threshold, point eigenvalues, positivity verdict")
+    p = command("spectrum", cmd_spectrum, "threshold, point eigenvalues, positivity verdict")
     p.add_argument("--m", type=float, default=1.0)
     _add_bc_args(p)
-    p.set_defaults(func=cmd_spectrum)
-    children["spectrum"] = p
 
-    p = sub.add_parser("heat-kernel", help="tabulate kernel values on tau/x/y lists")
+    p = command("heat-kernel", cmd_heat_kernel, "tabulate kernel values on tau/x/y lists")
     p.add_argument("--m", type=float, default=0.0)
     _add_bc_args(p)
     p.add_argument("--tau", type=_float_list, default=(1.0,), help="comma-separated list")
     p.add_argument("--x", type=_float_list, default=(1.0,), help="comma-separated list")
     p.add_argument("--y", type=_float_list, default=(1.0,), help="comma-separated list")
     p.add_argument("--output", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_heat_kernel)
-    children["heat-kernel"] = p
 
-    p = sub.add_parser("validate", help="run the built-in invariant suites")
+    p = command("validate", cmd_validate, "run the built-in invariant suites")
     p.add_argument("--suite", choices=("all",) + tuple(sorted(SUITES)), default="all")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiplier applied to every check's stated tolerance")
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_validate)
-    children["validate"] = p
 
     return parser, children
 

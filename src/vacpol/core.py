@@ -75,6 +75,12 @@ def check_mass(m):
         raise ParameterError(f"m = {m} must be a finite mass >= 0")
 
 
+def _admissible(rate, m):
+    # a decay rate at or below -m (below 0 when massless) is a bound state
+    # with a non-positive eigenvalue m^2 - rate^2; a Dirichlet face has none
+    return rate > -m if m > 0.0 else rate >= 0.0
+
+
 @dataclass(frozen=True)
 class FieldConfig:
     """Global physics parameters.
@@ -101,6 +107,8 @@ class FieldConfig:
         check_mass(self.m)
         if not self.kappa > 0.0:
             raise ParameterError(f"kappa must be > 0, got {self.kappa}")
+        if self.kappa == math.inf:
+            raise ParameterError(f"kappa = {self.kappa} must be a finite mass scale")
 
 
 @dataclass(frozen=True)
@@ -147,7 +155,7 @@ class SpectrumReport:
         exceeds ``-m`` (is ``>= 0`` when ``m = 0``)."""
         check_mass(m)
         eigenvalues = tuple(sorted(m * m - r * r for r in rates if r < 0.0))
-        positive = all(r > -m if m > 0.0 else r >= 0.0 for r in rates)
+        positive = all(_admissible(r, m) for r in rates)
         return cls(m * m, eigenvalues, positive, lambda_plus, lambda_minus)
 
 
@@ -209,6 +217,14 @@ def sign(x, name="x1"):
     raise ParameterError(f"{name} = 0 sits on the wall, where the observable is singular")
 
 
+def _point_images(cfg, bc, x1):
+    # the wall's ImageSum at x1, the entry of every one-point observable: the
+    # point is checked (see sign) before the wall's positivity
+    images = bc.images(x1, x1)
+    bc.check_positive(cfg.m)
+    return images
+
+
 def plane_term(cfg, bc, x1):
     """Plane term of the wall ``bc`` at the signed distances ``x1``, a float
     or a 1-D array of them: the points of each side are one batch of that
@@ -258,6 +274,11 @@ def free_term(cfg):
 def _require_mass(cfg, name):
     if not cfg.m > 0.0:
         raise ParameterError(f"{name} needs m > 0; use massless_value for m = 0")
+
+
+def _check_regulator(u):
+    if not math.isfinite(u):
+        raise ParameterError(f"u = {u} must be a finite regulator value")
 
 
 def _continued_free_term(cfg, u):
@@ -400,13 +421,16 @@ class ImageSum:
 
     def _plane(self, cfg, x1, us):
         # plane part of the continuation at the distances x1 (an array, one
-        # side) and the regulator values us, as (points, us) values:
-        # P(d, x1, u) times the shifted bracket; P(d, x1, 0) is the plane-term
-        # prefactor
-        d, ax = cfg.d, np.abs(x1)
+        # side) and the regulator values us, as (points, us) values: P(d, x1, u)
+        # times the bracket head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate),
+        # shifted by u; P(d, x1, 0) is the plane-term prefactor
+        d, m, ax = cfg.d, cfg.m, np.abs(x1)
         u = np.asarray(us, dtype=float)
         gammas = np.array([math.gamma(0.5 * (uj + 1)) for uj in us])
-        bracket = self._bracket(d, cfg.m, ax, us)
+        bracket = np.stack([self.head * bessel_k_weighted(0.5 * (d - 1 - uj), 2.0 * m * ax)
+                            for uj in us], axis=1)
+        for weight, rate in self.terms:
+            bracket += weight * ax[:, None] * _coupling_integrals(d, m, ax, rate, us)[0]
         with np.errstate(divide="ignore", over="ignore"):
             prefactor = (
                 2.0 ** (0.5 * (u - 3 * d + 1))
@@ -421,29 +445,28 @@ class ImageSum:
             )
         return value
 
-    def _bracket(self, d, m, ax, us):
-        # head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate), shifted by u
-        value = np.stack([self.head * bessel_k_weighted(0.5 * (d - 1 - u), 2.0 * m * ax)
-                          for u in us], axis=1)
-        for weight, rate in self.terms:
-            value += weight * ax[:, None] * _coupling_integrals(d, m, ax, rate, us)[0]
-        return value
-
     def _continuation(self, cfg, x1, us):
         # regularized polarization at x1 (one point) and the regulator values
         # us, none of them a pole
         return _with_continued_free_term(cfg, us, self._plane(cfg, np.array([x1]), us)[0])
 
-    def _proper_time_bracket(self, base, image, m, ax, tau):
-        # base + head e^{-m^2 tau - x1^2/tau} + sum weight/2 w-image(rate), each
-        # w-image int_0^inf dw e^{-m^2 tau - rate w - (w+2|x1|)^2/(4 tau)} in the
-        # kernel's erfcx form, the mass folded into the bound-state exponent
-        value = base + self.head * image
-        root, mass = math.sqrt(4.0 * math.pi * tau), math.exp(-m * m * tau)
-        for weight, rate in self.terms:
-            decaying, growing = _w_image(rate, 2.0 * ax, tau, m)
-            value += 0.5 * weight * root * (mass * decaying + growing)
-        return value
+    def _proper_time_integral(self, cfg, x1, u, free):
+        # kappa^u / (2 (4 pi)^{d/2} Gamma((u+1)/2)) int_0^inf dtau tau^{(u-d-1)/2} e^{-m^2 tau}
+        # [free + head e^{-x1^2/tau} + sum weight/2 int_0^inf dw e^{-rate w - (w+2|x1|)^2/(4 tau)}],
+        # each w-integral in the kernel's erfcx form (bound-state part unscaled)
+        d, m, ax = cfg.d, cfg.m, abs(x1)
+
+        def integrand(tau):
+            mass = math.exp(-m * m * tau)
+            value = (mass if free else 0.0) + self.head * math.exp(-m * m * tau - ax * ax / tau)
+            root = math.sqrt(4.0 * math.pi * tau)
+            for weight, rate in self.terms:
+                decaying, growing = _w_image(rate, 2.0 * ax, tau, m)
+                value += 0.5 * weight * root * (mass * decaying + growing)
+            return tau ** (0.5 * (u - d - 1)) * value
+
+        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
+        return value * cfg.kappa**u / (2.0 * gaussian_free_factor(d) * math.gamma(0.5 * (u + 1)))
 
     def kernel(self, tau, x1, y1, m):
         """Closed-form heat kernel between ``x1`` and ``y1`` at proper time
@@ -486,19 +509,13 @@ class ImageSum:
                 SlowDecayWarning,
                 stacklevel=3,
             )
-        d, m, ax = cfg.d, cfg.m, abs(x1)
-
-        def integrand(tau):
-            image = math.exp(-m * m * tau - ax * ax / tau)  # the mirror image
-            return tau ** (-0.5 * (d + 1)) * self._proper_time_bracket(0.0, image, m, ax, tau)
-
-        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
-        return value / (2.0 * gaussian_free_factor(d) * math.sqrt(math.pi))
+        return self._proper_time_integral(cfg, x1, 0.0, free=False)
 
     def regularized_polarization(self, cfg, x1, u):
         """Continuation of the regularized polarization to real ``u`` off
         the pole lattice ``u = d - 1 - 2l``."""
         _require_mass(cfg, "regularized_polarization")
+        _check_regulator(u)
         d = cfg.d
         # poles of the continued representation sit at u = d - 1 - 2l, l >= 0
         ell = 0.5 * (d - 1 - u)
@@ -512,19 +529,11 @@ class ImageSum:
 
     def regularized_polarization_oracle(self, cfg, x1, u):
         """Direct proper-time representation in the strip ``u > d - 1``."""
+        _check_regulator(u)
         if not u > cfg.d - 1:
             raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
         _require_mass(cfg, "regularized_polarization_oracle")
-        d, m, ax = cfg.d, cfg.m, abs(x1)
-
-        def integrand(tau):
-            mt = m * m * tau
-            image = math.exp(-mt - ax * ax / tau)
-            bracket = self._proper_time_bracket(math.exp(-mt), image, m, ax, tau)
-            return tau ** (0.5 * (u - d - 1)) * bracket
-
-        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
-        return cfg.kappa**u / (2.0 * gaussian_free_factor(d) * math.gamma(0.5 * (u + 1))) * value
+        return self._proper_time_integral(cfg, x1, u, free=True)
 
     def laurent_coefficients(self, cfg, x1):
         """Laurent data of the continuation at ``u = 0`` (four-point stencil,

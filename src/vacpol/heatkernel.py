@@ -25,7 +25,7 @@ expansion are retained as independent oracles.
 import math
 from dataclasses import dataclass
 
-from .core import ImageSum, _gauss, sign
+from .core import ImageSum, _admissible, _gauss, check_mass, sign
 from .errors import ParameterError
 from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
 
@@ -54,13 +54,18 @@ _KERNEL_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
 _SPECTRAL_SPEC = QuadSpec(abs_tol=1e-12, rel_tol=1e-10)
 
 
-def _check_rate(name, rate, m):
-    # a decay rate at or below -m (below 0 when massless) is a bound state
-    # with a non-positive eigenvalue m^2 - rate^2; a Dirichlet face has none
-    if m > 0.0 and not rate > -m:
-        raise ParameterError(f"{name} = {rate} violates positivity (needs > -m = {-m})")
-    if m == 0.0 and not rate >= 0.0:
-        raise ParameterError(f"{name} = {rate} violates massless positivity (needs >= 0)")
+class _Wall:
+    """A wall whose ``rates()`` name its decay rates, read by ``spectrum`` too."""
+
+    def check_positive(self, m):
+        """Reject couplings that put a point eigenvalue below zero, naming the rate."""
+        check_mass(m)
+        for name, rate in self.rates():
+            if _admissible(rate, m):
+                continue
+            if m > 0.0:
+                raise ParameterError(f"{name} = {rate} violates positivity (needs > -m = {-m})")
+            raise ParameterError(f"{name} = {rate} violates massless positivity (needs >= 0)")
 
 
 @dataclass(frozen=True)
@@ -80,11 +85,16 @@ class HeatQuery:
 
 
 @dataclass(frozen=True)
-class ReflectingBC:
+class ReflectingBC(_Wall):
     """Robin parameters of the two faces; ``DIRICHLET`` marks a hard face."""
 
     b_plus: float = 0.0
     b_minus: float = 0.0
+
+    def __post_init__(self):
+        for name, b in self.rates():
+            if math.isnan(b):
+                raise ParameterError(f"{name} = {b} must be a Robin coupling or DIRICHLET")
 
     @classmethod
     def neumann(cls):
@@ -102,10 +112,9 @@ class ReflectingBC:
         """Coupling of the face on the side of ``x1``."""
         return self.b_plus if x1 > 0.0 else self.b_minus
 
-    def check_positive(self, m):
-        """Reject couplings that put a point eigenvalue below zero."""
-        for name, b in (("b_plus", self.b_plus), ("b_minus", self.b_minus)):
-            _check_rate(name, b, m)
+    def rates(self):
+        """The named decay rates: each face's coupling (``+inf`` when Dirichlet)."""
+        return (("b_plus", self.b_plus), ("b_minus", self.b_minus))
 
     def images(self, x1, y1):
         """The wall between ``x1`` and ``y1`` as an :class:`~vacpol.core.ImageSum`.
@@ -123,7 +132,7 @@ class ReflectingBC:
 
 
 @dataclass(frozen=True)
-class SemitransparentBC:
+class SemitransparentBC(_Wall):
     """Transfer-matrix parameters of a semitransparent wall."""
 
     alpha: float
@@ -185,12 +194,12 @@ class SemitransparentBC:
             (w * self.gamma_coupling, w * self.sigma_param),
         )
 
-    def check_positive(self, m):
-        """Reject couplings that put a point eigenvalue below zero."""
+    def rates(self):
+        """The named decay rates: ``gamma/(alpha+sigma)``, or ``Lambda_minus < Lambda_plus``."""
         if self.is_delta_family:
-            _check_rate("gamma/(alpha+sigma)", self.delta_ratio, m)
-        else:
-            _check_rate("Lambda_minus", self.lambda_pm()[1], m)
+            return (("gamma/(alpha+sigma)", self.delta_ratio),)
+        lam_p, lam_m = self.lambda_pm()
+        return (("Lambda_minus", lam_m), ("Lambda_plus", lam_p))
 
     def images(self, x1, y1):
         """The wall between ``x1`` and ``y1`` as an :class:`~vacpol.core.ImageSum`.
@@ -256,7 +265,7 @@ def robin_half_line_kernel(q, b, m=0.0):
     return ReflectingBC.robin(b).images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
 
 
-def _w_image_integral(b, s, tau, spec):
+def _w_image_integral(b, s, tau):
     # int_0^inf dw e^{-b w - (w+s)^2/(4 tau)}.  A bound state (b < 0) puts the
     # Gaussian peak at w* = -2 b tau - s, far out at large tau, where one
     # adaptive rule over the whole half-line misses it: the range splits there
@@ -265,13 +274,13 @@ def _w_image_integral(b, s, tau, spec):
 
     peak = -2.0 * b * tau - s
     if peak <= 0.0:
-        return integrate_semi_infinite(f, spec)[0]
-    rise, _ = integrate_finite(f, 0.0, peak, spec)
-    fall, _ = integrate_semi_infinite(lambda w: f(peak + w), spec)
+        return integrate_semi_infinite(f, _KERNEL_SPEC)[0]
+    rise, _ = integrate_finite(f, 0.0, peak, _KERNEL_SPEC)
+    fall, _ = integrate_semi_infinite(lambda w: f(peak + w), _KERNEL_SPEC)
     return rise + fall
 
 
-def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
+def robin_half_line_kernel_wform(q, b, m=0.0):
     """Secondary oracle: the same kernel with the coupling term kept as the
     ``w``-integral ``(b/sqrt(pi tau)) int_0^inf e^{-b w - (w+x+y)^2/(4 tau)} dw``."""
     if not (q.x1 > 0.0 and q.y1 > 0.0):
@@ -280,7 +289,7 @@ def robin_half_line_kernel_wform(q, b, m=0.0, spec=_KERNEL_SPEC):
     tau = q.tau
     value = _gauss(q.x1 - q.y1, tau) + _gauss(s, tau)
     if b != 0.0:
-        value -= b / math.sqrt(math.pi * tau) * _w_image_integral(b, s, tau, spec)
+        value -= b / math.sqrt(math.pi * tau) * _w_image_integral(b, s, tau)
     return math.exp(-m * m * tau) * value
 
 
@@ -294,7 +303,7 @@ def reflecting_kernel(q, bc, m=0.0):
     return bc.images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
 
 
-def spectral_oracle_robin(q, b, m=0.0, spec=_SPECTRAL_SPEC):
+def spectral_oracle_robin(q, b, m=0.0):
     r"""Eigenfunction-expansion oracle for the Robin half-line kernel.
 
     Continuum part ``(2/pi) int_0^kmax dk e^{-tau k^2}
@@ -319,7 +328,7 @@ def spectral_oracle_robin(q, b, m=0.0, spec=_SPECTRAL_SPEC):
         def integrand(k):  # noqa: F811 - avoid the 0/0 at k = 0
             return math.exp(-tau * k * k) * math.cos(k * x) * math.cos(k * y)
 
-    value, _ = integrate_finite(integrand, 0.0, kmax, spec)
+    value, _ = integrate_finite(integrand, 0.0, kmax, _SPECTRAL_SPEC)
     value *= 2.0 / math.pi
     if b < 0.0:
         value += 2.0 * abs(b) * math.exp(tau * b * b - abs(b) * (x + y))

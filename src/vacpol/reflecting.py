@@ -25,7 +25,7 @@ finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
 import math
 
 from . import core
-from .core import ImageSum, PolarizationValue, SpectrumReport, sign
+from .core import ImageSum, PolarizationValue, SpectrumReport, _point_images, sign
 from .errors import InfraredDivergenceError, ParameterError
 
 __all__ = [
@@ -42,12 +42,6 @@ __all__ = [
     "massless_value",
     "spectrum",
 ]
-
-
-def _images(cfg, bc, x1):
-    images = bc.images(x1, x1)
-    bc.check_positive(cfg.m)
-    return images
 
 
 def free_term(cfg):
@@ -86,7 +80,7 @@ def plane_term_oracle(cfg, bc, x1):
     ``erfcx`` closed form (the heat kernel's image term).  Shares no code
     path with the Bessel closed form above.
     """
-    return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
+    return _point_images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):
@@ -98,7 +92,7 @@ def regularized_polarization(cfg, bc, x1, u):
     integral per relevant face).  At ``u = 0`` (even ``d``) it reproduces
     ``free_term + plane_term``.
     """
-    return _images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
+    return _point_images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 
 
 def regularized_polarization_oracle(cfg, bc, x1, u):
@@ -106,7 +100,7 @@ def regularized_polarization_oracle(cfg, bc, x1, u):
 
     Used to validate the analytic continuation where both converge.
     """
-    return _images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
+    return _point_images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
 
 
 def laurent_coefficients(cfg, bc, x1):
@@ -116,7 +110,7 @@ def laurent_coefficients(cfg, bc, x1):
     ``d`` and equals the (boundary-independent) residue of the Gamma-ratio
     free term for odd ``d``.
     """
-    return _images(cfg, bc, x1).laurent_coefficients(cfg, x1)
+    return _point_images(cfg, bc, x1).laurent_coefficients(cfg, x1)
 
 
 def _branch_label(cfg, bc, x1):
@@ -137,7 +131,7 @@ def renormalize_at_zero(cfg, bc, x1):
     :class:`~vacpol.errors.NumericalFailureError` is raised; the returned
     value is the exact closed-form split.
     """
-    return _images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc, x1))
+    return _point_images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc, x1))
 
 
 def small_x_asymptotic(cfg, bc, x1):
@@ -147,7 +141,7 @@ def small_x_asymptotic(cfg, bc, x1):
     ``Gamma((d-1)/2)/((4 pi)^((d+1)/2) |x1|^(d-1))`` for ``d >= 3`` --
     independent of any finite coupling; the Dirichlet face flips the sign.
     """
-    return _images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
+    return _point_images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
 
 
 def large_x_asymptotic(cfg, bc, x1):
@@ -157,7 +151,7 @@ def large_x_asymptotic(cfg, bc, x1):
 
     with the coupling ratio replaced by ``-1`` for a Dirichlet face.
     """
-    return _images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
+    return _point_images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
 
 
 def massless_value(cfg, bc, x1):
@@ -176,9 +170,9 @@ def massless_value(cfg, bc, x1):
     where ``A = Gamma((d-1)/2)/((4 pi)^((d+1)/2) |x1|^(d-1))``; the bracket
     degenerates to ``+1`` (Neumann) and ``-1`` (Dirichlet).
     """
-    value = _images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
+    value = _point_images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
     if cfg.d == 1:
-        for name, b in (("b_plus", bc.b_plus), ("b_minus", bc.b_minus)):
+        for name, b in bc.rates():
             if b == 0.0:
                 raise InfraredDivergenceError(
                     f"massless d = 1 with Neumann face {name} = 0 is infrared divergent"
@@ -193,4 +187,4 @@ def spectrum(bc, m):
     with finite negative coupling; positive iff every face has
     ``b > -m`` (or is Dirichlet).
     """
-    return SpectrumReport.from_rates(m, (bc.b_plus, bc.b_minus))
+    return SpectrumReport.from_rates(m, tuple(rate for _, rate in bc.rates()))

@@ -20,7 +20,7 @@ divergence: the leading small-``x1`` term vanishes identically.
 from dataclasses import dataclass
 
 from . import core
-from .core import PolarizationValue, SpectrumReport, sign
+from .core import PolarizationValue, SpectrumReport, _point_images, sign
 from .errors import InfraredDivergenceError
 
 __all__ = [
@@ -84,16 +84,10 @@ def spectrum(bc, m):
     ``m^2 - Lambda_-^2`` (iff ``Lambda_- < 0``) and additionally
     ``m^2 - Lambda_+^2`` (iff ``Lambda_+ < 0``).
     """
-    if bc.is_delta_family:
-        return SpectrumReport.from_rates(m, (bc.delta_ratio,))
-    lam_p, lam_m = bc.lambda_pm()
-    return SpectrumReport.from_rates(m, (lam_p, lam_m), lam_p, lam_m)
-
-
-def _images(cfg, bc, x1):
-    images = bc.images(x1, x1)
-    bc.check_positive(cfg.m)
-    return images
+    rates = dict(bc.rates())
+    return SpectrumReport.from_rates(
+        m, tuple(rates.values()), rates.get("Lambda_plus"), rates.get("Lambda_minus")
+    )
 
 
 def free_term(cfg):
@@ -111,24 +105,24 @@ def plane_term(cfg, bc, x1):
 
 def plane_term_oracle(cfg, bc, x1):
     """Proper-time quadrature of the plane part; independent oracle."""
-    return _images(cfg, bc, x1).plane_term_oracle(cfg, x1)
+    return _point_images(cfg, bc, x1).plane_term_oracle(cfg, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):
     """Analytic continuation to real ``u`` (same contracts as the
     reflecting version: poles at ``u = d-1-2l``, strip consistency,
     Laurent renormalization)."""
-    return _images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
+    return _point_images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 
 
 def regularized_polarization_oracle(cfg, bc, x1, u):
     """Direct proper-time representation in the strip ``u > d - 1``."""
-    return _images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
+    return _point_images(cfg, bc, x1).regularized_polarization_oracle(cfg, x1, u)
 
 
 def laurent_coefficients(cfg, bc, x1):
     """Laurent data of the continuation at ``u = 0`` (four-point stencil)."""
-    return _images(cfg, bc, x1).laurent_coefficients(cfg, x1)
+    return _point_images(cfg, bc, x1).laurent_coefficients(cfg, x1)
 
 
 def _branch_label(cfg, bc):
@@ -140,7 +134,7 @@ def _branch_label(cfg, bc):
 def renormalize_at_zero(cfg, bc, x1):
     """Regular part at ``u = 0`` cross-checked against the closed forms
     (same contract as the reflecting version)."""
-    return _images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc))
+    return _point_images(cfg, bc, x1).renormalize_at_zero(cfg, x1, _branch_label(cfg, bc))
 
 
 def small_x_asymptotic(cfg, bc, x1):
@@ -151,13 +145,13 @@ def small_x_asymptotic(cfg, bc, x1):
     pure delta wall (divergence softening).  ``beta != 0``: coefficient 1,
     coinciding with the reflecting leading term for every ``d``.
     """
-    return _images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
+    return _point_images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
 
 
 def large_x_asymptotic(cfg, bc, x1):
     """Leading exponential decay far from the wall (family-specific coupling
     ratio times the shared ``e^{-2m|x1|}/|x1|^{d/2}`` envelope)."""
-    return _images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
+    return _point_images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
 
 
 def massless_value(cfg, bc, x1):
@@ -176,7 +170,7 @@ def massless_value(cfg, bc, x1):
     only occurs for ``gamma = 0``), so the apparently singular
     ``Gamma(2-d, 0)`` term carries a zero coefficient and is dropped.
     """
-    value = _images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
+    value = _point_images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
     if cfg.d == 1:
         if not bc.is_delta_family:
             raise InfraredDivergenceError(

@@ -150,24 +150,20 @@ def _edge_extrapolate(f, h):
     return value, deriv
 
 
-def _kernel_on_line(geometry, bc, m, tau, x, y):
-    q = hk.HeatQuery(tau, x, y)
-    if geometry == "reflecting":
-        return hk.reflecting_kernel(q, bc, m)
-    return hk.semitransparent_kernel(q, bc, m).real
+def _kernel_on_line(kernel, bc, m):
+    """``(tau, x, y) -> Re kernel(HeatQuery(tau, x, y), bc, m)``."""
+    return lambda tau, x, y: kernel(hk.HeatQuery(tau, x, y), bc, m).real
 
 
-def _semigroup_deviation(geometry, bc, m, tau1, tau2, x, y):
+def _semigroup_deviation(kernel, tau1, tau2, x, y):
     spec = QuadSpec(abs_tol=1e-11, rel_tol=1e-9, max_subdivisions=400)
 
     def product(z):
-        return _kernel_on_line(geometry, bc, m, tau1, x, z) * _kernel_on_line(
-            geometry, bc, m, tau2, z, y
-        )
+        return kernel(tau1, x, z) * kernel(tau2, z, y)
 
     plus, _ = integrate_semi_infinite(lambda z: product(z + 1e-13), spec)
     minus, _ = integrate_semi_infinite(lambda z: product(-z - 1e-13), spec)
-    direct = _kernel_on_line(geometry, bc, m, tau1 + tau2, x, y)
+    direct = kernel(tau1 + tau2, x, y)
     return abs(plus + minus - direct)
 
 
@@ -192,28 +188,27 @@ def check_heatkernel(tol_scale=1.0):
     results.append(_check("kernel.robin_vs_spectral", dev_s, 1e-7, tol_scale))
 
     dev = 0.0
-    rbc = hk.ReflectingBC(b_plus=1.0, b_minus=-0.3)
-    sbc = hk.SemitransparentBC(1.0, 0.5, -0.4, 0.8)
+    rk = _kernel_on_line(hk.reflecting_kernel, hk.ReflectingBC(b_plus=1.0, b_minus=-0.3), 0.5)
+    sk = _kernel_on_line(hk.semitransparent_kernel, hk.SemitransparentBC(1.0, 0.5, -0.4, 0.8), 0.5)
     for tau1, tau2 in ((0.5, 0.5), (0.3, 0.7)):
-        dev = max(dev, _semigroup_deviation("reflecting", rbc, 0.5, tau1, tau2, 0.8, 1.3))
-        dev = max(dev, _semigroup_deviation("semitransparent", sbc, 0.5, tau1, tau2, 0.8, -1.3))
+        dev = max(dev, _semigroup_deviation(rk, tau1, tau2, 0.8, 1.3))
+        dev = max(dev, _semigroup_deviation(sk, tau1, tau2, 0.8, -1.3))
     results.append(_check("kernel.semigroup", dev, 1e-6, tol_scale))
 
     # heat equation away from x = y and the wall, both families
     dev = 0.0
     h = 1e-4
-    for tau, x, y, b, m in ((0.7, 1.1, 0.4, 0.8, 0.5), (0.4, 0.6, 1.5, -0.2, 1.0)):
-        k = lambda t, xx: hk.robin_half_line_kernel(hk.HeatQuery(t, xx, y), b, m)
-        dtau = (k(tau + h, x) - k(tau - h, x)) / (2.0 * h)
-        dxx = (k(tau, x + h) - 2.0 * k(tau, x) + k(tau, x - h)) / (h * h)
-        resid = dtau - dxx + m * m * k(tau, x)
-        dev = max(dev, abs(resid) / max(abs(dtau), 1e-12))
-    for tau, x, y, m in ((0.7, 1.1, 0.4, 0.5), (0.6, -0.8, 0.9, 0.5)):
-        bc = hk.SemitransparentBC(1.2, 0.5, 0.4, 1.0)
-        k = lambda t, xx: hk.semitransparent_kernel(hk.HeatQuery(t, xx, y), bc, m).real
-        dtau = (k(tau + h, x) - k(tau - h, x)) / (2.0 * h)
-        dxx = (k(tau, x + h) - 2.0 * k(tau, x) + k(tau, x - h)) / (h * h)
-        resid = dtau - dxx + m * m * k(tau, x)
+    sbc = hk.SemitransparentBC(1.2, 0.5, 0.4, 1.0)
+    for kernel, bc, tau, x, y, m in (
+        (hk.robin_half_line_kernel, 0.8, 0.7, 1.1, 0.4, 0.5),
+        (hk.robin_half_line_kernel, -0.2, 0.4, 0.6, 1.5, 1.0),
+        (hk.semitransparent_kernel, sbc, 0.7, 1.1, 0.4, 0.5),
+        (hk.semitransparent_kernel, sbc, 0.6, -0.8, 0.9, 0.5),
+    ):
+        k = _kernel_on_line(kernel, bc, m)
+        dtau = (k(tau + h, x, y) - k(tau - h, x, y)) / (2.0 * h)
+        dxx = (k(tau, x + h, y) - 2.0 * k(tau, x, y) + k(tau, x - h, y)) / (h * h)
+        resid = dtau - dxx + m * m * k(tau, x, y)
         dev = max(dev, abs(resid) / max(abs(dtau), 1e-12))
     results.append(_check("kernel.heat_equation", dev, 1e-4, tol_scale,
                           "central differences, both wall families"))
@@ -288,15 +283,19 @@ def check_heatkernel(tol_scale=1.0):
 # ---------------------------------------------------------------------------
 
 def _oracle_deviation(mod, grid):
-    """Max relative closed-form vs proper-time-oracle gap over ``(d, m, bc, |x1|)``."""
+    """Max relative closed-form vs proper-time-oracle gap over ``(d, m, bc, |x1|)``;
+    the closed form of the distances at one ``(d, m, bc)`` is one batch."""
+    runs = {}
+    for d, m, bc, ax in grid:
+        runs.setdefault((d, m, bc), []).append(ax)
     dev = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowDecayWarning)
-        for d, m, bc, ax in grid:
+        for (d, m, bc), axs in runs.items():
             cfg = FieldConfig(d, m)
-            closed = mod.plane_term(cfg, bc, ax)
-            oracle = mod.plane_term_oracle(cfg, bc, ax)
-            dev = max(dev, abs(closed - oracle) / max(abs(closed), 1e-300))
+            for ax, closed in zip(axs, mod.plane_term(cfg, bc, np.array(axs)).tolist()):
+                oracle = mod.plane_term_oracle(cfg, bc, ax)
+                dev = max(dev, abs(closed - oracle) / max(abs(closed), 1e-300))
     return dev
 
 

@@ -24,6 +24,14 @@ class TestFieldConfig:
         with pytest.raises(ParameterError):
             FieldConfig(2, 1.0, kappa=0.0)
 
+    def test_infinite_scale_is_named(self):
+        # an infinite kappa used to pass and surface as an infinite massless
+        # value or a plane term "past double range"
+        with pytest.raises(ParameterError, match="^kappa "):
+            FieldConfig(1, 0.0, math.inf)
+        with pytest.raises(ParameterError, match="^kappa "):
+            FieldConfig(3, 1.0, math.inf)
+
 
 @pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])
 def test_bad_mass_is_named_everywhere(m):

@@ -4,8 +4,14 @@ import math
 import pytest
 
 from conftest import edge_extrapolate, scattering_kernel
+from hypothesis import given, settings
+from hypothesis import strategies
+
+from vacpol import reflecting as rf
+from vacpol import semitransparent as st
 from vacpol.errors import ParameterError
 from vacpol.heatkernel import (
+    DIRICHLET,
     HeatQuery,
     ReflectingBC,
     SemitransparentBC,
@@ -52,6 +58,33 @@ class TestTypes:
         with pytest.raises(ParameterError):
             ReflectingBC(-0.1, 0.0).check_positive(0.0)
         ReflectingBC.dirichlet().check_positive(0.0)
+
+    @pytest.mark.parametrize("field", ["b_plus", "b_minus"])
+    def test_reflecting_nan_face_is_named(self, field):
+        with pytest.raises(ParameterError, match=f"^{field} "):
+            ReflectingBC(**{"b_plus": 0.0, "b_minus": 0.0, field: math.nan})
+        ReflectingBC(**{field: DIRICHLET})  # +inf is the Dirichlet marker
+
+    @given(
+        strategies.floats(-3.0, 3.0),
+        strategies.floats(-3.0, 3.0),
+        strategies.floats(-3.0, 3.0),
+        strategies.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_positivity_check_is_the_spectrum_verdict(self, first, second, third, m):
+        # check_positive raises exactly when spectrum() reports a non-positive
+        # operator, naming a rate the wall lists
+        semi = (SemitransparentBC(first, second, (first * third - 1.0) / second, third)
+                if abs(second) > 1e-6 else SemitransparentBC.delta(third))
+        for mod, bc in ((rf, ReflectingBC(first, second)), (st, semi)):
+            positive = mod.spectrum(bc, m).positive
+            try:
+                bc.check_positive(m)
+                assert positive
+            except ParameterError as exc:
+                assert not positive
+                assert str(exc).split(" = ")[0] in dict(bc.rates())
 
     def test_semitransparent_structure(self):
         with pytest.raises(ParameterError):

@@ -176,7 +176,9 @@ _CANCELLING_GOLDEN_POINTS = [
 @pytest.mark.parametrize("key, quantity, wall, d, x1, u", _CANCELLING_GOLDEN_POINTS,
                          ids=[point[0] for point in _CANCELLING_GOLDEN_POINTS])
 def test_cancelling_golden_points_against_mpmath(key, quantity, wall, d, x1, u):
-    # the production quadrature target (core._PROD_SPEC) is 1e-12 relative
+    # the coupling integral's target is about 1e-12 relative: its trapezoid
+    # sums at h and 2h agree within 1e-6 (the error goes as that gap squared),
+    # else the point falls back to QUADPACK at core._FALLBACK_SPEC (1e-12)
     cfg, bc = FieldConfig(d, 1.0), _WALLS[wall]
     b = bc.side(x1)
     if quantity == "plane_term":

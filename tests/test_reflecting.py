@@ -174,6 +174,14 @@ class TestRegularized:
             regularized_polarization(cfg, ReflectingBC.neumann(), 1.0, 2.0)
         assert info.value.pole == 2.0
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_regulator_is_named(self, u):
+        cfg, bc = FieldConfig(3, 1.0), ReflectingBC.robin(1.0)
+        with pytest.raises(ParameterError, match="^u "):
+            regularized_polarization(cfg, bc, 0.7, u)
+        with pytest.raises(ParameterError, match="^u "):
+            regularized_polarization_oracle(cfg, bc, 0.7, u)
+
     def test_d1_residue(self):
         # residue of the free Gamma-ratio term is 1/(2 pi), independent of bc
         for bc in (ReflectingBC.neumann(), ReflectingBC.robin(3.0), ReflectingBC.dirichlet()):

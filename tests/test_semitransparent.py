@@ -63,6 +63,13 @@ class TestSpectrum:
         assert not spectrum(SemitransparentBC.delta(-3.0), 1.0).positive
         assert not spectrum(SemitransparentBC.delta_prime(-1.5), 1.0).positive
 
+    def test_positivity_names_the_lower_rate(self):
+        # Lambda_minus < Lambda_plus, so a wall that fails positivity fails
+        # it at Lambda_minus first, whether or not Lambda_plus fails too
+        for bc in (SemitransparentBC.delta_prime(-1.5), SemitransparentBC.delta_prime(-0.2)):
+            with pytest.raises(ParameterError, match="^Lambda_minus = .* violates positivity"):
+                bc.check_positive(1.0)
+
     def test_rate_ordering_strict(self):
         for bc in (SemitransparentBC.delta_prime(0.3), mixed_bc(2.0, 1.0, 1.0),
                    mixed_bc(0.8, -0.5, 0.4)):
@@ -208,6 +215,15 @@ class TestRegularized:
                 assert regularized_polarization(cfg, bc, 0.7, u) == pytest.approx(
                     regularized_polarization_oracle(cfg, bc, 0.7, u), rel=1e-8
                 )
+
+    @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
+    def test_non_finite_regulator_is_named(self, u):
+        cfg = FieldConfig(3, 1.0)
+        for bc in (SemitransparentBC.delta(2.0), SemitransparentBC.delta_prime(1.0)):
+            with pytest.raises(ParameterError, match="^u "):
+                regularized_polarization(cfg, bc, 0.7, u)
+            with pytest.raises(ParameterError, match="^u "):
+                regularized_polarization_oracle(cfg, bc, 0.7, u)
 
     def test_even_d_at_zero(self):
         cfg = FieldConfig(2, 1.0)

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import erfcx as erfcx_array  # the oracles' arrays; erfcx below is the kernel's
 
 from .errors import (
     InfraredDivergenceError,
@@ -26,7 +27,7 @@ from .errors import (
     PoleError,
     SlowDecayWarning,
 )
-from .quadrature import QuadSpec, integrate_finite, integrate_semi_infinite
+from .quadrature import QuadSpec, integrate_finite
 from .specialfns import (
     EULER_GAMMA,
     bessel_k_weighted,
@@ -45,11 +46,8 @@ __all__ = [
     "fit_laurent_at_zero",
     "free_term",
     "plane_term",
+    "plane_term_oracle",
 ]
-
-# Oracle integrals are controlled relatively: plane terms decay like
-# exp(-2 m |x1|) and their absolute size spans many orders of magnitude.
-_ORACLE_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-11, max_subdivisions=400)
 
 # The coupling integral is a trapezoid in s = ln v, step _STEP, from
 # _S_FIRST - ln max(c, 1) to ln(45/c) + 1 with c = 2(rate+m)|x1| (the parts
@@ -63,6 +61,19 @@ _S_LAST = math.log(45.0) + 1.0
 _S_MAX = math.log(sys.float_info.max) - _STEP
 _FALLBACK_DISAGREEMENT = 1e-6
 _FALLBACK_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
+
+# The proper-time oracles are a trapezoid in s = ln tau with the same rule,
+# step min(_ORACLE_STEP, 1/(4 sqrt(2m|x1|))): the peak of e^{-m^2 tau - x1^2/tau}
+# at tau = |x1|/m is about 1/sqrt(2m|x1|) wide in s.  Peaks narrower than at
+# 2m|x1| = _ORACLE_PEAK are not resolved: there the plane term is below
+# e^-_ORACLE_PEAK of its prefactor, and the h and 2h sums guard the rest.
+# The range is where the integrand is above e^-_ORACLE_DEPTH of its peak; the
+# strip oracle's free part is summed in closed form left of ln(_FREE_EDGE/m^2).
+_ORACLE_STEP = 0.125
+_ORACLE_PEAK = 2000.0
+_ORACLE_DEPTH = 50.0
+_FREE_EDGE = 1e-17
+_LOG_4PI = math.log(4.0 * math.pi)
 
 _CONSISTENCY_TOL = 1e-6
 _LAURENT_EPS = 1e-3
@@ -225,12 +236,11 @@ def _point_images(cfg, bc, x1):
     return images
 
 
-def plane_term(cfg, bc, x1):
-    """Plane term of the wall ``bc`` at the signed distances ``x1``, a float
-    or a 1-D array of them: the points of each side are one batch of that
-    side's :class:`ImageSum` (``bc.images``).  A float gives a float, an
-    array an array in the same order.  Every point is checked (see
-    :func:`sign`) before the wall's positivity."""
+def _per_side(cfg, bc, x1, observable):
+    # the ImageSum method `observable` at the signed distances x1, a float or a
+    # 1-D array: the points of each side are one batch of that side's record
+    # (bc.images); a float gives a float, an array an array in the same order.
+    # Every point is checked (see sign) before the wall's positivity.
     points = np.asarray(x1, dtype=float)
     batch = points.reshape(-1)
     sides = np.array([sign(x) for x in batch])
@@ -239,8 +249,23 @@ def plane_term(cfg, bc, x1):
     for side in (1.0, -1.0):
         on = sides == side
         if on.any():
-            out[on] = bc.images(side, side).plane_term(cfg, batch[on])
+            out[on] = getattr(bc.images(side, side), observable)(cfg, batch[on])
     return float(out[0]) if points.ndim == 0 else out
+
+
+def plane_term(cfg, bc, x1):
+    """Plane term of the wall ``bc`` at the signed distances ``x1``, a float
+    or a 1-D array of them: the points of each side are one batch of that
+    side's :class:`ImageSum` (``bc.images``).  A float gives a float, an
+    array an array in the same order.  Every point is checked (see
+    :func:`sign`) before the wall's positivity."""
+    return _per_side(cfg, bc, x1, "plane_term")
+
+
+def plane_term_oracle(cfg, bc, x1):
+    """Proper-time oracle of :func:`plane_term` (:meth:`ImageSum.plane_term_oracle`),
+    with the same entry: a float or a 1-D array, one batch per side."""
+    return _per_side(cfg, bc, x1, "plane_term_oracle")
 
 
 def gaussian_free_factor(d):
@@ -319,17 +344,56 @@ def _log_integrand(d, m, rate, us, ax, s):
                      * bessel_k_weighted_scaled(0.5 * (d - 1 - u), w) for u in us])
 
 
+def _log_trapezoid(integrand, first, last, step, tail=None):
+    r"""Trapezoid sums in ``s`` over the nodes ``first + k step``, ``k = 0, 1, ...``
+    up to the first node past ``last``, one sum per point and integrand row:
+    ``(value, err_est, fallback)``, arrays of shape ``(points, rows)``.
+
+    ``integrand(point, s)`` evaluates the rows at the nodes ``s`` of the points
+    ``point``: index and node arrays of one length, or one index and one node
+    (the fallback's scalar calls).  ``step`` is a float or one step per
+    point.  ``tail(h)``, if given, is the part of each point's integral left
+    of ``first`` as the nodes of step ``h`` sum it (``h = 0``: its integral).
+    Where the integrand is analytic in a strip about the real axis and
+    decays double-exponentially at both ends, the error falls exponentially
+    in ``1/h`` and roughly squares when ``h`` halves (Trefethen & Weideman,
+    SIAM Review 56, 2014); ``err_est`` is the squared gap to the ``2h`` sum,
+    every other node of the same sum.  Each point has its own nodes and sum,
+    so its value does not depend on the batch.  Points whose two sums
+    disagree beyond ``_FALLBACK_DISAGREEMENT`` (relative) go to QUADPACK over
+    ``[first, last]``.
+    """
+    counts = np.ceil((last - first) / step).astype(int) + 1
+    starts = np.cumsum(counts) - counts
+    node = np.arange(counts.sum()) - np.repeat(starts, counts)
+    point = np.repeat(np.arange(len(first)), counts)
+    per_point = np.ndim(step) > 0
+    g = integrand(point, first[point] + (step[point] if per_point else step) * node)
+    h = step[:, None] if per_point else step
+    value = h * np.add.reduceat(g, starts, axis=1).T
+    coarse = 2.0 * h * np.add.reduceat(g * (1.0 - node % 2), starts, axis=1).T
+    if tail is not None:
+        value += tail(step)[:, None]
+        coarse += tail(2.0 * step)[:, None]
+    gap = np.abs(value - coarse)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
+    fallback = ~(gap <= _FALLBACK_DISAGREEMENT * np.abs(value))
+    for i, j in zip(*np.nonzero(fallback)):
+        value[i, j], err_est[i, j] = integrate_finite(
+            lambda t, i=i, j=j: integrand(i, t)[j],
+            first[i], last[i], _FALLBACK_SPEC,
+        )
+        if tail is not None:
+            value[i, j] += tail(0.0)[i]
+    return value, err_est, fallback
+
+
 def _coupling_integrals(d, m, ax, rate, us):
     r"""``I(rate) = int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1))``
     at the distances ``ax`` (one side) and the regulator values ``us``:
-    ``(value, err_est, fallback)``, arrays of shape ``(points, us)``.
-
-    A trapezoid in ``s = ln v``.  The integrand is analytic in a strip about
-    the real axis and decays double-exponentially at both ends, so the error
-    falls exponentially in ``1/h`` and roughly squares when ``h`` halves
-    (Trefethen & Weideman, SIAM Review 56, 2014); ``err_est`` is the squared
-    gap to the ``2h`` sum, every other node of the same sum.  Each point has
-    its own nodes and sum, so its value does not depend on the batch.
+    ``(value, err_est, fallback)``, arrays of shape ``(points, us)``; a
+    trapezoid in ``s = ln v`` (:func:`_log_trapezoid`), step ``_STEP``.
     """
     c = 2.0 * (rate + m) * ax
     first = _S_FIRST - np.maximum(np.log(c), 0.0)
@@ -341,23 +405,8 @@ def _coupling_integrals(d, m, ax, rate, us):
             f"coupling integral at |x1| = {float(ax[i])!r}, rate = {rate!r}: its decay rate "
             f"2(rate+m)|x1| = {float(c[i]):.3g} spreads it past the double range of v"
         )
-    counts = np.ceil((last - first) / _STEP).astype(int) + 1
-    starts = np.cumsum(counts) - counts
-    node = np.arange(counts.sum()) - np.repeat(starts, counts)
-    point = np.repeat(np.arange(len(ax)), counts)
-    even = 1.0 - node % 2
-    g = _log_integrand(d, m, rate, us, ax[point], first[point] + _STEP * node)
-    value = _STEP * np.add.reduceat(g, starts, axis=1).T
-    gap = np.abs(value - 2.0 * _STEP * np.add.reduceat(g * even, starts, axis=1).T)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
-    fallback = ~(gap <= _FALLBACK_DISAGREEMENT * np.abs(value))
-    for i, j in zip(*np.nonzero(fallback)):
-        value[i, j], err_est[i, j] = integrate_finite(
-            lambda t, u=us[j], x=ax[i]: _log_integrand(d, m, rate, (u,), x, t)[0],
-            first[i], last[i], _FALLBACK_SPEC,
-        )
-    return value, err_est, fallback
+    return _log_trapezoid(lambda point, s: _log_integrand(d, m, rate, us, ax[point], s),
+                          first, last, _STEP)
 
 
 def _gauss(u, tau):
@@ -450,23 +499,72 @@ class ImageSum:
         # us, none of them a pole
         return _with_continued_free_term(cfg, us, self._plane(cfg, np.array([x1]), us)[0])
 
-    def _proper_time_integral(self, cfg, x1, u, free):
-        # kappa^u / (2 (4 pi)^{d/2} Gamma((u+1)/2)) int_0^inf dtau tau^{(u-d-1)/2} e^{-m^2 tau}
-        # [free + head e^{-x1^2/tau} + sum weight/2 int_0^inf dw e^{-rate w - (w+2|x1|)^2/(4 tau)}],
-        # each w-integral in the kernel's erfcx form (bound-state part unscaled)
-        d, m, ax = cfg.d, cfg.m, abs(x1)
-
-        def integrand(tau):
-            mass = math.exp(-m * m * tau)
-            value = (mass if free else 0.0) + self.head * math.exp(-m * m * tau - ax * ax / tau)
-            root = math.sqrt(4.0 * math.pi * tau)
+    def _proper_time_integrand(self, m, ax, log_ax, q, scale, free, s):
+        # e^{scale + qs - m^2 tau} [free + head e^{-x1^2/tau}
+        #   + sum weight/2 sqrt(4 pi tau) W(rate, 2|x1|)]
+        # at tau = e^s (one row), the image W in the erfcx form of _w_image.  Each
+        # part's factors are one exp, so that neither tau^q, the normalization
+        # e^scale nor a bound state's growth leaves double range on its own
+        root = np.exp(0.5 * s)
+        wall = np.exp(log_ax - 0.5 * s)  # |x1| / sqrt(tau)
+        lead = scale + q * s - (m * root) ** 2
+        gauss = lead - wall * wall
+        half_log = 0.5 * (_LOG_4PI + s)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = self.head * np.exp(gauss)
+            if free:
+                value += np.exp(lead)
             for weight, rate in self.terms:
-                decaying, growing = _w_image(rate, 2.0 * ax, tau, m)
-                value += 0.5 * weight * root * (mass * decaying + growing)
-            return tau ** (0.5 * (u - d - 1)) * value
+                arg = rate * root + wall
+                image = 0.5 * erfcx_array(np.abs(arg)) * np.exp(gauss + half_log)
+                if rate < 0.0:  # a bound state: below a zero argument its growth is split off
+                    growth = (scale + q * s + half_log + ((rate - m) * root) * ((rate + m) * root)
+                              + 2.0 * rate * ax)
+                    image = np.where(arg < 0.0, np.exp(growth) - image, image)
+                value += 0.5 * weight * image
+        past = ~np.isfinite(value)
+        if past.any():
+            x1 = float(np.broadcast_to(ax, past.shape)[past][0])
+            raise ParameterError(f"the proper-time integral is past double range at |x1| = {x1!r}")
+        return value[None, ...]
 
-        value, _ = integrate_semi_infinite(integrand, _ORACLE_SPEC)
-        return value * cfg.kappa**u / (2.0 * gaussian_free_factor(d) * math.gamma(0.5 * (u + 1)))
+    def _proper_time_integral(self, cfg, ax, u, free):
+        # kappa^u / (2 (4 pi)^{d/2} Gamma((u+1)/2)) int_0^inf dtau tau^{(u-d-1)/2} e^{-m^2 tau}
+        # [free + head e^{-x1^2/tau} + sum weight/2 int_0^inf dw e^{-rate w - (w+2|x1|)^2/(4 tau)}]
+        # at the distances ax (one side), a trapezoid in s = ln tau
+        d, m, log_ax, log_m = cfg.d, cfg.m, np.log(ax), math.log(cfg.m)
+        q = 0.5 * (u - d + 1)
+        scale = (u * math.log(cfg.kappa) - math.log(2.0 * gaussian_free_factor(d))
+                 - math.lgamma(0.5 * (u + 1)))
+        # left: tau^q e^{-x1^2/tau - m^2 tau} is depth below its peak where
+        # (m sqrt(tau) - |x1|/sqrt(tau))^2 = depth; right: each decay rate,
+        # m^2 - rate^2 for a bound state's image and m^2 for the rest, has
+        # taken the integrand depth below e^{-2m|x1|}
+        depth = _ORACLE_DEPTH + 4.0 * max(-q, 0.0)
+        first = 2.0 * (math.log(2.0) + log_ax
+                       - np.log(np.sqrt(depth + 4.0 * m * ax) + math.sqrt(depth)))
+        depth = _ORACLE_DEPTH + 4.0 * max(q + 0.5, 0.0)
+        last = np.log(depth + 2.0 * m * ax) - 2.0 * log_m
+        for _, rate in self.terms:
+            if rate < 0.0:
+                last = np.maximum(last, np.log(depth + 2.0 * (m + rate) * ax)
+                                  - math.log(m - rate) - math.log(m + rate))
+        tail = None
+        if free:
+            # left of ln(_FREE_EDGE / m^2) the integrand is the free part
+            # e^{scale + qs} alone, and its nodes there sum to a geometric series
+            first = np.minimum(first, math.log(_FREE_EDGE) - 2.0 * log_m)
+            edge = np.exp(scale + q * first)
+
+            def tail(h):
+                with np.errstate(invalid="ignore"):
+                    return edge * np.where(h > 0.0, h / np.expm1(q * h), 1.0 / q)
+        step = np.minimum(_ORACLE_STEP, 0.25 / np.sqrt(np.minimum(2.0 * m * ax, _ORACLE_PEAK)))
+        return _log_trapezoid(
+            lambda point, s: self._proper_time_integrand(m, ax[point], log_ax[point], q, scale,
+                                                         free, s),
+            first, last, step, tail,
+        )[0][:, 0]
 
     def kernel(self, tau, x1, y1, m):
         """Closed-form heat kernel between ``x1`` and ``y1`` at proper time
@@ -496,9 +594,12 @@ class ImageSum:
         return self._plane(cfg, np.asarray(x1, dtype=float), (0.0,))[:, 0]
 
     def plane_term_oracle(self, cfg, x1):
-        """Proper-time quadrature of :meth:`plane_term`, one adaptive rule in
-        ``tau`` over the erfcx image of :meth:`kernel`; shares no code with
-        the Bessel closed form or the coupling integral."""
+        """Proper-time integral of :meth:`plane_term` at the distances ``x1``, a
+        1-D array of points on one side (``m > 0``); one array of values.  The
+        representation and its integrand, the erfcx image of :meth:`kernel`,
+        share nothing with the Bessel closed form or the coupling integral;
+        the quadrature rule (:func:`_log_trapezoid`, in ``s = ln tau``) is
+        the one of the coupling integral."""
         _require_mass(cfg, "plane_term_oracle")
         slowest = min((rate for _, rate in self.terms), default=math.inf)
         if slowest < 0.0:
@@ -507,9 +608,10 @@ class ImageSum:
                 f"oracle integrand decays at reduced rate m^2 - rate^2 for image rate "
                 f"{slowest} < 0",
                 SlowDecayWarning,
-                stacklevel=3,
+                stacklevel=5,
             )
-        return self._proper_time_integral(cfg, x1, 0.0, free=False)
+        return self._proper_time_integral(cfg, np.abs(np.asarray(x1, dtype=float)), 0.0,
+                                          free=False)
 
     def regularized_polarization(self, cfg, x1, u):
         """Continuation of the regularized polarization to real ``u`` off
@@ -533,7 +635,7 @@ class ImageSum:
         if not u > cfg.d - 1:
             raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
         _require_mass(cfg, "regularized_polarization_oracle")
-        return self._proper_time_integral(cfg, x1, u, free=True)
+        return float(self._proper_time_integral(cfg, np.array([abs(x1)]), u, free=True)[0])
 
     def laurent_coefficients(self, cfg, x1):
         """Laurent data of the continuation at ``u = 0`` (four-point stencil,

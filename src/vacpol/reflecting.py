@@ -14,8 +14,8 @@ the boundary dependence.  Neumann (``b = 0``) and Dirichlet reduce to
 ``+/- P * F``: as a :class:`~vacpol.core.ImageSum`, which evaluates every
 observable below, the face is head ``+1`` with the image ``(-4b, b)``, or
 head ``-1``.  Every closed form here is cross-checked by an independent
-brute-force oracle that integrates the underlying proper-time
-representation by adaptive quadrature.
+oracle that integrates the underlying proper-time representation
+directly.
 
 Conventions: ``x1`` is the signed distance from the wall and must be
 finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
@@ -68,19 +68,23 @@ def plane_term_dn(cfg, x1, sign_dn):
 
 
 def plane_term_oracle(cfg, bc, x1):
-    r"""Independent brute-force evaluation of :func:`plane_term`.
+    r"""Independent evaluation of :func:`plane_term` from its proper-time
+    representation.
 
-    Integrates the proper-time representation at regulator zero with the
-    divergent constant piece (renormalized into the free term) removed:
+    Integrates that representation at regulator zero with the divergent
+    constant piece (renormalized into the free term) removed:
 
         1/(2 (4 pi)^{d/2} Gamma(1/2)) int_0^inf dtau tau^{-(d+1)/2} e^{-m^2 tau}
             [ e^{-x1^2/tau} - 2 b int_0^inf dw e^{-b w - (w+2|x1|)^2/(4 tau)} ],
 
-    by one adaptive quadrature in ``tau``, the inner ``w``-integral in its
-    ``erfcx`` closed form (the heat kernel's image term).  Shares no code
-    path with the Bessel closed form above.
+    the inner ``w``-integral in its ``erfcx`` closed form (the heat kernel's
+    image term).  The representation and this integrand share nothing with
+    the Bessel closed form above; the quadrature rule is the coupling
+    integral's trapezoid, here in ``s = ln tau`` with a step that resolves
+    the peak at ``tau = |x1|/m``.  ``x1`` is a float or a 1-D array, as for
+    :func:`plane_term`: one batch per side.
     """
-    return _point_images(cfg, bc, x1).plane_term_oracle(cfg, x1)
+    return core.plane_term_oracle(cfg, bc, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):

@@ -104,8 +104,10 @@ def plane_term(cfg, bc, x1):
 
 
 def plane_term_oracle(cfg, bc, x1):
-    """Proper-time quadrature of the plane part; independent oracle."""
-    return _point_images(cfg, bc, x1).plane_term_oracle(cfg, x1)
+    """Independent oracle of :func:`plane_term` from its proper-time
+    representation (see :func:`vacpol.reflecting.plane_term_oracle`); a
+    float or a 1-D array of distances, one batch per side."""
+    return core.plane_term_oracle(cfg, bc, x1)
 
 
 def regularized_polarization(cfg, bc, x1, u):

@@ -2,8 +2,10 @@
 with the measured deviation next to its stated tolerance.
 
 Criteria (tolerances pinned here, nothing deferred):
-  1. reflecting oracle equivalence, rel 1e-8, 192-point grid, <= 2 min
-  2. semitransparent oracle equivalence (both coupling families), rel 1e-8, <= 3 min
+  1. reflecting oracle equivalence, rel 1e-8, 192-point grid (about 0.1 s;
+     a 2 min cap catches a stalled integral)
+  2. semitransparent oracle equivalence (both coupling families), rel 1e-8
+     (about 0.1 s; a 3 min cap)
   3. heat-kernel cross-validation (spectral 1e-7, semigroup 1e-6, Robin
      boundary residual 1e-6, Neumann conservation 1e-8)
   4. renormalization consistency (c0 vs closed 1e-6; |c_m1| < 1e-8 for d=2;

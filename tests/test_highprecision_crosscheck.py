@@ -5,8 +5,9 @@ extra); they pin the special-function accuracy claims on a random grid
 rather than a handful of frozen literals.
 """
 
-import functools
+import json
 import math
+import os
 import random
 
 import pytest
@@ -129,37 +130,11 @@ def test_weighted_bessel_high_orders():
     assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
 
 
-@functools.lru_cache(maxsize=None)
-def _robin_bracket_mp(b, d, ax, u):
-    """``F(nu, 2|x1|) + (-4b) |x1| I(b)`` of a Robin face ``b`` at ``m = 1``, in mpmath."""
-    ax, u, rate = mpmath.mpf(ax), mpmath.mpf(u), mpmath.mpf(b)
-    nu = (d - 1 - u) / 2
-    scale = 2 * (rate + 1) * ax
-
-    def f(t):
-        v = t / scale
-        return mpmath.exp(-2 * rate * ax * v) * (v + 1) ** (u + 1 - d) * _weighted_bessel_mp(nu, 2 * ax * (v + 1))
-
-    return _weighted_bessel_mp(nu, 2 * ax) - 4 * rate * ax * mpmath.quad(f, [0, mpmath.inf]) / scale
-
-
-def _plane_mp(b, d, ax):
-    prefactor = 1 / (mpmath.mpf(2) ** (mpmath.mpf(3 * d - 1) / 2) * mpmath.pi ** (mpmath.mpf(d + 1) / 2)
-                     * mpmath.mpf(ax) ** (d - 1))
-    return prefactor * _robin_bracket_mp(b, d, ax, 0)
-
-
-def _regularized_mp(b, d, ax, u):
-    ax, u = mpmath.mpf(ax), mpmath.mpf(u)
-    free = mpmath.gamma((u - d + 1) / 2) / (2 ** (d + 1) * mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma((u + 1) / 2))
-    common = 2 ** ((u - 3 * d + 1) / 2) * ax**u / (mpmath.pi ** (mpmath.mpf(d) / 2) * mpmath.gamma((u + 1) / 2)
-                                                   * ax ** (d - 1))
-    return free + common * _robin_bracket_mp(b, d, float(ax), float(u))
-
-
 # Golden-grid points whose coupling integral cancels strongly against the head
 # term (by up to 1800x at d = 9), so the plane value carries the quadrature's
-# 1e-12 target amplified: (golden key, observable, wall, d, x1, u).
+# 1e-12 target amplified: (golden key, observable, wall, d, x1, u).  Their
+# 30-digit references are pinned in cancelling_refs.json, written by
+# make_cancelling_refs.py, which states the reference route.
 _WALLS = {"robin_2": ReflectingBC.robin(2.0), "dirichlet_robin": ReflectingBC(DIRICHLET, 2.0),
           "robin_pm": ReflectingBC(1.5, -0.4)}
 _CANCELLING_GOLDEN_POINTS = [
@@ -171,6 +146,8 @@ _CANCELLING_GOLDEN_POINTS = [
     (f"regularized/robin_pm/d{d}/x0.05/u{u!r}", "regularized", "robin_pm", d, 0.05, u)
     for d, u in ((1, -0.5), (2, 0.5))
 ]
+with open(os.path.join(os.path.dirname(__file__), "cancelling_refs.json"), encoding="utf-8") as fh:
+    _CANCELLING_REFS = {point["key"]: point for point in json.load(fh)["points"]}
 
 
 @pytest.mark.parametrize("key, quantity, wall, d, x1, u", _CANCELLING_GOLDEN_POINTS,
@@ -180,11 +157,14 @@ def test_cancelling_golden_points_against_mpmath(key, quantity, wall, d, x1, u):
     # sums at h and 2h agree within 1e-6 (the error goes as that gap squared),
     # else the point falls back to QUADPACK at core._FALLBACK_SPEC (1e-12)
     cfg, bc = FieldConfig(d, 1.0), _WALLS[wall]
-    b = bc.side(x1)
+    pinned = _CANCELLING_REFS[key]
+    assert (pinned["quantity"], pinned["b"], pinned["d"], pinned["x1"], pinned["u"]) == (
+        quantity, bc.side(x1), d, x1, u)
+    ref = mpmath.mpf(pinned["ref"])
     if quantity == "plane_term":
-        got, ref = rf.plane_term(cfg, bc, x1), _plane_mp(b, d, abs(x1))
+        got = rf.plane_term(cfg, bc, x1)
     elif quantity == "renormalize":
-        got, ref = rf.renormalize_at_zero(cfg, bc, x1).plane_term, _plane_mp(b, d, abs(x1))
+        got = rf.renormalize_at_zero(cfg, bc, x1).plane_term
     else:
-        got, ref = rf.regularized_polarization(cfg, bc, x1, u), _regularized_mp(b, d, abs(x1), u)
+        got = rf.regularized_polarization(cfg, bc, x1, u)
     assert float(abs(got - ref) / abs(ref)) < 1e-12

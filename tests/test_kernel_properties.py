@@ -125,8 +125,9 @@ def images(draw):
 @given(images())
 @example((-1.3994, 2 * 0.8184, 103.13, 1.5359))  # w* = 287: QUADPACK over w missed it
 def test_erfcx_image_against_mpmath(image):
-    # the proper-time oracles integrate this closed form of the image integral
-    # in place of a quadrature in w: sqrt(4 pi tau) (e^{-m^2 tau} decaying + growing)
+    # the kernel's closed form of the image integral, which the proper-time
+    # oracles integrate in place of a quadrature in w (ImageSum._proper_time_integrand,
+    # the same terms over arrays of tau): sqrt(4 pi tau) (e^{-m^2 tau} decaying + growing)
     rate, s, tau, m = image
     decaying, growing = _w_image(rate, s, tau, m)
     got = math.sqrt(4.0 * math.pi * tau) * (math.exp(-m * m * tau) * decaying + growing)

@@ -85,7 +85,7 @@ class TestPlaneTerm:
         )
 
     @pytest.mark.parametrize("d", (1, 3, 7, 11))
-    @pytest.mark.parametrize("fraction", (-0.99, -0.999, -0.99999))
+    @pytest.mark.parametrize("fraction", (-0.99, -0.999, -0.99999, -(1 - 1e-8), -(1 - 1e-10)))
     def test_oracle_up_to_threshold(self, fraction, d):
         # the bound state puts the Gaussian peak of the oracle's image integral
         # far out in w at large tau, where its erfcx form still holds it
@@ -94,6 +94,31 @@ class TestPlaneTerm:
         assert plane_term_oracle(cfg, bc, 0.7) == pytest.approx(
             plane_term(cfg, bc, 0.7), rel=1e-8
         )
+
+    @pytest.mark.parametrize("d, x1", [(3, 1e-4), (11, 1e-2)] + [(d, 1e-8) for d in range(1, 12)])
+    def test_oracle_near_the_wall(self, d, x1):
+        # the proper-time peak sits at tau = |x1|/m; adaptive quadrature over
+        # (0, inf) in tau lost it here and raised NumericalFailureError
+        cfg, bc = FieldConfig(d, 1.0), ReflectingBC.robin(2.0)
+        assert plane_term_oracle(cfg, bc, x1) == pytest.approx(plane_term(cfg, bc, x1), rel=1e-8)
+
+    def test_oracle_at_the_sign_change(self):
+        # near |x1| = 0.712 the d = 3 plane term of Robin b = 2 changes sign and
+        # is 2e4 times smaller than its head and image parts; adaptive
+        # quadrature in tau could not reach its relative target here
+        cfg, bc, x1 = FieldConfig(3, 1.0), ReflectingBC.robin(2.0), 0.7120603015075376
+        assert plane_term_oracle(cfg, bc, x1) == pytest.approx(plane_term(cfg, bc, x1), rel=1e-8)
+
+    @pytest.mark.parametrize("d", (1, 3, 11))
+    def test_oracle_far_from_the_wall(self, d):
+        # about e^{-2m|x1|} = 1e-174 at |x1| = 200, a narrow peak at tau = 200
+        # that adaptive quadrature over (0, inf) in tau missed (it gave
+        # -1.2e-241 at d = 1); the d = 1 value is -6.35444226211745e-177
+        cfg, bc = FieldConfig(d, 1.0), ReflectingBC.robin(2.0)
+        closed = plane_term(cfg, bc, 200.0)
+        if d == 1:
+            assert closed == pytest.approx(-6.35444226211745e-177, rel=1e-12, abs=0.0)
+        assert plane_term_oracle(cfg, bc, 200.0) == pytest.approx(closed, rel=1e-8, abs=0.0)
 
     def test_huge_coupling_approaches_dirichlet(self):
         cfg = FieldConfig(3, 1.0)
@@ -152,7 +177,7 @@ class TestRegularized:
             assert continued == pytest.approx(direct, rel=1e-8)
 
     @pytest.mark.parametrize("d", (1, 2, 3))
-    @pytest.mark.parametrize("fraction", (-0.99, -0.999))
+    @pytest.mark.parametrize("fraction", (-0.99, -0.999, -(1 - 1e-8), -(1 - 1e-10)))
     def test_strip_oracle_up_to_threshold(self, fraction, d):
         # the bound state decays like e^{-(m^2 - b^2) tau}, far past m^2 tau = 745
         cfg = FieldConfig(d, 1.0)

@@ -27,7 +27,6 @@ from .errors import (
     PoleError,
     SlowDecayWarning,
 )
-from .quadrature import QuadSpec, integrate_finite
 from .specialfns import (
     EULER_GAMMA,
     bessel_k_weighted,
@@ -49,23 +48,24 @@ __all__ = [
     "plane_term_oracle",
 ]
 
-# The coupling integral is a trapezoid in s = ln v, step _STEP, from
+# The coupling integral is a trapezoid in s = ln v, step _STEP/sqrt(p), from
 # _S_FIRST - ln max(c, 1) to ln(45/c) + 1 with c = 2(rate+m)|x1| (the parts
-# left out are below e^-45 of the integral); points whose h and 2h sums
-# disagree beyond _FALLBACK_DISAGREEMENT (relative) go to QUADPACK.
+# left out are below e^-45 of the integral); a point whose h and 2h sums
+# disagree beyond _MAX_DISAGREEMENT (relative) raises NumericalFailureError.
+# Above u = d the integrand can grow like v^{p-1}, p = (u-d)/2 + 1, before
+# e^{-cv} cuts it off, to a peak about 1/sqrt(p) wide in s; else p = 1.
 _STEP = 0.25
 _S_FIRST = -45.0
 _S_LAST = math.log(45.0) + 1.0
 # beyond it (less the one step by which the last node may pass ln(45/c) + 1)
 # a node's v = e^s is past double range
 _S_MAX = math.log(sys.float_info.max) - _STEP
-_FALLBACK_DISAGREEMENT = 1e-6
-_FALLBACK_SPEC = QuadSpec(abs_tol=1e-300, rel_tol=1e-12)
+_MAX_DISAGREEMENT = 1e-6
 
 # The proper-time oracles are a trapezoid in s = ln tau with the same rule,
-# step min(_ORACLE_STEP, 1/(4 sqrt(2m|x1|))): the peak of e^{-m^2 tau - x1^2/tau}
-# at tau = |x1|/m is about 1/sqrt(2m|x1|) wide in s.  Peaks narrower than at
-# 2m|x1| = _ORACLE_PEAK are not resolved: there the plane term is below
+# step min(_ORACLE_STEP, 1/(4 sqrt(r))): the peak of tau^q e^{-m^2 tau - x1^2/tau}
+# is about 1/sqrt(r) wide in s, r = sqrt(q^2 + (2m|x1|)^2).  Peaks narrower than
+# at 2m|x1| = _ORACLE_PEAK are not resolved: there the plane term is below
 # e^-_ORACLE_PEAK of its prefactor, and the h and 2h sums guard the rest.
 # The range is where the integrand is above e^-_ORACLE_DEPTH of its peak; the
 # strip oracle's free part is summed in closed form left of ln(_FREE_EDGE/m^2).
@@ -76,6 +76,9 @@ _FREE_EDGE = 1e-17
 _LOG_4PI = math.log(4.0 * math.pi)
 
 _CONSISTENCY_TOL = 1e-6
+# regularized_polarization raises where its larger part passes 1e8 times the
+# total: the parts' rounding, about 1e-16 of the larger, passes 1e-8 of it
+_MAX_CANCELLATION = 1e8
 _LAURENT_EPS = 1e-3
 
 
@@ -334,34 +337,39 @@ def _small_x_leading(d, m, x1):
 
 def _log_integrand(d, m, rate, us, ax, s):
     # the coupling integrand times dv/ds at v = e^s, one row per u in us,
-    # its exponentials in one exp so that rates close to -m neither under-
-    # nor overflow: e^{s - 2(rate+m)|x| v - 2m|x|} (v+1)^{u+1-d} e^w F((d-1-u)/2, w)
+    # all its factors in one exp so that none leaves the normal range alone
+    # (rates close to -m, 2m|x| near the exp underflow, a large u):
+    # e^{s - 2(rate+m)|x| v - 2m|x|} (v+1)^{u+1-d} e^w F((d-1-u)/2, w)
     # with w = 2m|x|(v+1)
     v = np.exp(s)
-    decay = np.exp(s - 2.0 * (rate + m) * ax * v - 2.0 * m * ax)
+    exponent = s - 2.0 * (rate + m) * ax * v - 2.0 * m * ax
+    log_v1 = np.log1p(v)
     w = 2.0 * m * ax * (v + 1.0)
-    return np.stack([decay * (v + 1.0) ** (u + 1.0 - d)
-                     * bessel_k_weighted_scaled(0.5 * (d - 1 - u), w) for u in us])
+    with np.errstate(divide="ignore"):  # a factor that underflowed to 0 stays 0
+        return np.stack([np.exp(exponent + (u + 1.0 - d) * log_v1
+                                + np.log(bessel_k_weighted_scaled(0.5 * (d - 1 - u), w)))
+                         for u in us])
 
 
 def _log_trapezoid(integrand, first, last, step, tail=None):
     r"""Trapezoid sums in ``s`` over the nodes ``first + k step``, ``k = 0, 1, ...``
     up to the first node past ``last``, one sum per point and integrand row:
-    ``(value, err_est, fallback)``, arrays of shape ``(points, rows)``.
+    ``(value, err_est)``, arrays of shape ``(points, rows)``.
 
     ``integrand(point, s)`` evaluates the rows at the nodes ``s`` of the points
-    ``point``: index and node arrays of one length, or one index and one node
-    (the fallback's scalar calls).  ``step`` is a float or one step per
-    point.  ``tail(h)``, if given, is the part of each point's integral left
-    of ``first`` as the nodes of step ``h`` sum it (``h = 0``: its integral).
-    Where the integrand is analytic in a strip about the real axis and
-    decays double-exponentially at both ends, the error falls exponentially
-    in ``1/h`` and roughly squares when ``h`` halves (Trefethen & Weideman,
+    ``point``, index and node arrays of one length.  ``step`` is a float or
+    one step per point.  ``tail(h)``, if given, is the part of each point's
+    integral left of ``first`` as the nodes of step ``h`` sum it.  Where the
+    integrand is analytic in a strip about the real axis and decays
+    double-exponentially at both ends, the error falls exponentially in
+    ``1/h`` and roughly squares when ``h`` halves (Trefethen & Weideman,
     SIAM Review 56, 2014); ``err_est`` is the squared gap to the ``2h`` sum,
     every other node of the same sum.  Each point has its own nodes and sum,
-    so its value does not depend on the batch.  Points whose two sums
-    disagree beyond ``_FALLBACK_DISAGREEMENT`` (relative) go to QUADPACK over
-    ``[first, last]``.
+    so its value does not depend on the batch.  Where the two sums disagree
+    beyond ``_MAX_DISAGREEMENT`` (relative, and beyond the smallest normal
+    double) the step does not resolve the integrand, and
+    :class:`NumericalFailureError` names that point's range in ``s`` and
+    carries its ``h`` sum and the gap.
     """
     counts = np.ceil((last - first) / step).astype(int) + 1
     starts = np.cumsum(counts) - counts
@@ -376,25 +384,29 @@ def _log_trapezoid(integrand, first, last, step, tail=None):
         value += tail(step)[:, None]
         coarse += tail(2.0 * step)[:, None]
     gap = np.abs(value - coarse)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
-    fallback = ~(gap <= _FALLBACK_DISAGREEMENT * np.abs(value))
-    for i, j in zip(*np.nonzero(fallback)):
-        value[i, j], err_est[i, j] = integrate_finite(
-            lambda t, i=i, j=j: integrand(i, t)[j],
-            first[i], last[i], _FALLBACK_SPEC,
+    # a sum below the smallest normal double has no relative accuracy to check
+    unresolved = ~(gap <= _MAX_DISAGREEMENT * np.abs(value) + sys.float_info.min)
+    if unresolved.any():
+        i, j = np.argwhere(unresolved)[0]
+        cause = (f"its h and 2h sums disagree by {float(gap[i, j]):.3e} of {float(value[i, j]):.6g}"
+                 if np.isfinite(value[i, j]) else "its sum is past double range")
+        raise NumericalFailureError(
+            f"trapezoid in s on [{float(first[i])!r}, {float(last[i])!r}]: {cause}",
+            best_estimate=float(value[i, j]),
+            error_bound=float(gap[i, j]),
         )
-        if tail is not None:
-            value[i, j] += tail(0.0)[i]
-    return value, err_est, fallback
+    with np.errstate(invalid="ignore"):
+        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
+    return value, err_est
 
 
 def _coupling_integrals(d, m, ax, rate, us):
     r"""``I(rate) = int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1))``
     at the distances ``ax`` (one side) and the regulator values ``us``:
-    ``(value, err_est, fallback)``, arrays of shape ``(points, us)``; a
-    trapezoid in ``s = ln v`` (:func:`_log_trapezoid`), step ``_STEP``.
+    ``(value, err_est)``, arrays of shape ``(points, us)``; a
+    trapezoid in ``s = ln v`` (:func:`_log_trapezoid`), step ``_STEP/sqrt(p)``.
     """
+    p = max(1.0, 0.5 * (max(us) - d) + 1.0)
     c = 2.0 * (rate + m) * ax
     first = _S_FIRST - np.maximum(np.log(c), 0.0)
     last = _S_LAST - np.log(c)
@@ -406,7 +418,7 @@ def _coupling_integrals(d, m, ax, rate, us):
             f"2(rate+m)|x1| = {float(c[i]):.3g} spreads it past the double range of v"
         )
     return _log_trapezoid(lambda point, s: _log_integrand(d, m, rate, us, ax[point], s),
-                          first, last, _STEP)
+                          first, last, _STEP / math.sqrt(p))
 
 
 def _gauss(u, tau):
@@ -494,11 +506,6 @@ class ImageSum:
             )
         return value
 
-    def _continuation(self, cfg, x1, us):
-        # regularized polarization at x1 (one point) and the regulator values
-        # us, none of them a pole
-        return _with_continued_free_term(cfg, us, self._plane(cfg, np.array([x1]), us)[0])
-
     def _proper_time_integrand(self, m, ax, log_ax, q, scale, free, s):
         # e^{scale + qs - m^2 tau} [free + head e^{-x1^2/tau}
         #   + sum weight/2 sqrt(4 pi tau) W(rate, 2|x1|)]
@@ -524,7 +531,7 @@ class ImageSum:
                 value += 0.5 * weight * image
         past = ~np.isfinite(value)
         if past.any():
-            x1 = float(np.broadcast_to(ax, past.shape)[past][0])
+            x1 = float(ax[past][0])
             raise ParameterError(f"the proper-time integral is past double range at |x1| = {x1!r}")
         return value[None, ...]
 
@@ -557,9 +564,9 @@ class ImageSum:
             edge = np.exp(scale + q * first)
 
             def tail(h):
-                with np.errstate(invalid="ignore"):
-                    return edge * np.where(h > 0.0, h / np.expm1(q * h), 1.0 / q)
-        step = np.minimum(_ORACLE_STEP, 0.25 / np.sqrt(np.minimum(2.0 * m * ax, _ORACLE_PEAK)))
+                return edge * (h / np.expm1(q * h))
+        peak = np.hypot(q, np.minimum(2.0 * m * ax, _ORACLE_PEAK))
+        step = np.minimum(_ORACLE_STEP, 0.25 / np.sqrt(peak))
         return _log_trapezoid(
             lambda point, s: self._proper_time_integrand(m, ax[point], log_ax[point], q, scale,
                                                          free, s),
@@ -614,8 +621,9 @@ class ImageSum:
                                           free=False)
 
     def regularized_polarization(self, cfg, x1, u):
-        """Continuation of the regularized polarization to real ``u`` off
-        the pole lattice ``u = d - 1 - 2l``."""
+        """Continuation of the regularized polarization to real ``u`` off the
+        pole lattice ``u = d - 1 - 2l``; :class:`NumericalFailureError` where its
+        free and plane parts cancel past ``_MAX_CANCELLATION`` (best estimate: the total)."""
         _require_mass(cfg, "regularized_polarization")
         _check_regulator(u)
         d = cfg.d
@@ -627,7 +635,16 @@ class ImageSum:
                 f"u = {u} is a pole of the meromorphic continuation (u = d-1-2l lattice)",
                 pole=d - 1 - 2 * nearest,
             )
-        return self._continuation(cfg, x1, (u,))[0]
+        free = _continued_free_term(cfg, u)
+        plane = float(self._plane(cfg, np.array([x1]), (u,))[0, 0])
+        total = free + plane
+        if max(abs(free), abs(plane)) > _MAX_CANCELLATION * abs(total):
+            raise NumericalFailureError(
+                f"regularized polarization at x1 = {x1!r}, u = {u!r}: its free part {free:.6g} "
+                f"and plane part {plane:.6g} cancel to {total:.3g}",
+                best_estimate=total,
+            )
+        return total
 
     def regularized_polarization_oracle(self, cfg, x1, u):
         """Direct proper-time representation in the strip ``u > d - 1``."""
@@ -641,7 +658,9 @@ class ImageSum:
         """Laurent data of the continuation at ``u = 0`` (four-point stencil,
         one batch)."""
         _require_mass(cfg, "regularized_polarization")
-        return _laurent_fit(self._continuation(cfg, x1, _stencil(_LAURENT_EPS)), _LAURENT_EPS)
+        stencil = _stencil(_LAURENT_EPS)
+        planes = self._plane(cfg, np.array([x1]), stencil)[0]
+        return _laurent_fit(_with_continued_free_term(cfg, stencil, planes), _LAURENT_EPS)
 
     def renormalize_at_zero(self, cfg, x1, branch):
         """Regular part of the continuation at ``u = 0`` (even ``d``: direct

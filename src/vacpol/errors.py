@@ -30,8 +30,8 @@ class InfraredDivergenceError(VacpolError):
 
 
 class NumericalFailureError(VacpolError):
-    """Quadrature (or a fit) exhausted its budget without reaching the
-    requested tolerance.
+    """A quadrature, a fit or a cancellation between parts could not reach
+    the requested accuracy.
 
     Attributes
     ----------
@@ -49,8 +49,8 @@ class NumericalFailureError(VacpolError):
 
 class SlowDecayWarning(RuntimeWarning):
     """A proper-time oracle's integrand decays slowly (a bound state
-    reduces its decay rate in ``tau``); the result is still computed but
-    quadrature may be slow or lose accuracy."""
+    reduces its decay rate in ``tau``); its range reaches further out, at
+    the same accuracy."""
 
 
 class UnderflowToZeroWarning(RuntimeWarning):

@@ -41,8 +41,8 @@ DEFAULT_SPEC = QuadSpec()
 
 
 def _run(f, a, b, spec):
-    # imported here: only the oracles and the rare fallbacks integrate, and
-    # the import costs more than a whole batch of plane terms
+    # imported here: only the heat-kernel oracles and validation integrate,
+    # and the import costs more than a whole batch of plane terms
     from scipy.integrate import quad
 
     out = quad(

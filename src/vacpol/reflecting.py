@@ -25,13 +25,12 @@ finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
 import math
 
 from . import core
-from .core import ImageSum, PolarizationValue, SpectrumReport, _point_images, sign
-from .errors import InfraredDivergenceError, ParameterError
+from .core import PolarizationValue, SpectrumReport, _point_images
+from .errors import InfraredDivergenceError
 
 __all__ = [
     "free_term",
     "plane_term",
-    "plane_term_dn",
     "plane_term_oracle",
     "regularized_polarization",
     "regularized_polarization_oracle",
@@ -57,14 +56,6 @@ def plane_term(cfg, bc, x1):
     evaluated as one batch per side (a float is a batch of one).
     """
     return core.plane_term(cfg, bc, x1)
-
-
-def plane_term_dn(cfg, x1, sign_dn):
-    """Neumann (+1) / Dirichlet (-1) closed form ``+/- P F((d-1)/2, 2m|x1|)``."""
-    if sign_dn not in (1, -1):
-        raise ParameterError("sign_dn must be +1 (Neumann) or -1 (Dirichlet)")
-    sign(x1)
-    return float(ImageSum(float(sign_dn)).plane_term(cfg, [x1])[0])
 
 
 def plane_term_oracle(cfg, bc, x1):
@@ -94,7 +85,9 @@ def regularized_polarization(cfg, bc, x1, u):
     the lattice it evaluates the four-term continued representation
     (Gamma-ratio free term, weighted-Bessel image term, and one coupling
     integral per relevant face).  At ``u = 0`` (even ``d``) it reproduces
-    ``free_term + plane_term``.
+    ``free_term + plane_term``.  Where the free and plane parts cancel to
+    below 1e-8 of the larger (near the wall, far above the poles) it raises
+    :class:`~vacpol.errors.NumericalFailureError` carrying the total.
     """
     return _point_images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 

@@ -113,7 +113,7 @@ def plane_term_oracle(cfg, bc, x1):
 def regularized_polarization(cfg, bc, x1, u):
     """Analytic continuation to real ``u`` (same contracts as the
     reflecting version: poles at ``u = d-1-2l``, strip consistency,
-    Laurent renormalization)."""
+    Laurent renormalization, the refusal of cancelling parts)."""
     return _point_images(cfg, bc, x1).regularized_polarization(cfg, x1, u)
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "bessel_k_weighted_scaled",
     "upper_gamma",
     "upper_gamma_scaled",
-    "exp_e1",
     "erf",
     "erfc",
     "erfcx",
@@ -243,19 +242,6 @@ def _upper_gamma_cf(a, z):
     raise ParameterError(f"incomplete-Gamma continued fraction stalled at a={a}, z={z}")
 
 
-def exp_e1(z):
-    """``exp(z) * Gamma(0, z)``, the scaled exponential integral.
-
-    Stable for every ``z > 0`` (no overflow at large ``z``, where the
-    plain product of the two factors would).
-    """
-    if not z > 0.0:
-        raise ParameterError(f"exp_e1 requires z > 0, got z={z}")
-    if z <= 1.0:
-        return math.exp(z) * float(exp1(z))
-    return _upper_gamma_cf(0.0, z)
-
-
 def upper_gamma(a, z):
     r"""Upper incomplete Gamma function ``Gamma(a, z) = int_z^inf t^(a-1) e^-t dt``.
 
@@ -305,17 +291,17 @@ def upper_gamma_scaled(n, w):
 
     This combination is what the massless closed forms actually need: it
     stays finite as ``w -> 0`` for ``n >= 1`` (limit ``1/n``) and never
-    overflows at large ``w`` (it decays like ``1/w``).  For ``n = 0`` it
-    equals :func:`exp_e1`, which diverges logarithmically at ``w = 0``.
-    Up to ``w = 1`` it is ``exp(w) * scipy.special.expn(n+1, w)``.
+    overflows at large ``w`` (it decays like ``1/w``).  For ``n = 0`` it is
+    ``exp(w) * E_1(w)``, which diverges logarithmically at ``w = 0`` (``w > 0``
+    required).  Up to ``w = 1`` it is ``exp(w) * scipy.special.expn(n+1, w)``.
     """
     n = int(n)
     if n < 0:
         raise ParameterError(f"upper_gamma_scaled requires n >= 0, got n={n}")
+    if n == 0 and not w > 0.0:
+        raise ParameterError(f"upper_gamma_scaled requires w > 0 at n = 0, got w={w}")
     if w < 0.0:
         raise ParameterError(f"upper_gamma_scaled requires w >= 0, got w={w}")
-    if n == 0:
-        return exp_e1(w)
     if w > 1.0:
         return _upper_gamma_cf(-float(n), w)
-    return math.exp(w) * float(expn(n + 1, w))
+    return math.exp(w) * float(exp1(w) if n == 0 else expn(n + 1, w))

@@ -375,8 +375,8 @@ def check_reflecting(tol_scale=1.0):
     # Neumann/Dirichlet sandwich and monotonicity in b
     cfg = FieldConfig(3, 1.0)
     x1 = 0.6
-    neu = rf.plane_term_dn(cfg, x1, +1)
-    dir_ = rf.plane_term_dn(cfg, x1, -1)
+    neu = rf.plane_term(cfg, hk.ReflectingBC.neumann(), x1)
+    dir_ = rf.plane_term(cfg, hk.ReflectingBC.dirichlet(), x1)
     values = [rf.plane_term(cfg, hk.ReflectingBC.robin(b), x1) for b in (0.1, 0.5, 2.0, 10.0, 50.0)]
     ok = all(dir_ < v < neu for v in values)
     ok = ok and all(values[i + 1] < values[i] for i in range(len(values) - 1))

@@ -381,12 +381,20 @@ def test_module_entry_point(run_cli):
 
 
 def test_massive_profile_leaves_scipy_integrate_unloaded():
-    # QUADPACK serves only the oracles and the fallback of the coupling
-    # integral; a plain profile must not pay for its import
+    # QUADPACK serves only the heat-kernel oracles and validation: neither a
+    # plain profile nor the proper-time oracles nor the Laurent
+    # renormalization pays for its import
     code = ("import contextlib, io, sys\n"
             "import vacpol.cli\n"
+            "from vacpol import reflecting as rf\n"
+            "from vacpol.core import FieldConfig\n"
+            "from vacpol.heatkernel import ReflectingBC\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert vacpol.cli.main(['profile', '--b-plus=2', '--points=3']) == 0\n"
+            "cfg, bc = FieldConfig(3, 1.0), ReflectingBC.robin(2.0)\n"
+            "rf.plane_term_oracle(cfg, bc, [0.7, -1e-8])\n"
+            "rf.regularized_polarization_oracle(cfg, bc, 0.7, 3.5)\n"
+            "rf.renormalize_at_zero(cfg, bc, 0.7)\n"
             "print('scipy.integrate' in sys.modules)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

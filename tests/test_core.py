@@ -98,8 +98,7 @@ def _x1_entry_points():
     from vacpol.heatkernel import ReflectingBC, SemitransparentBC
 
     cfg, cfg0 = FieldConfig(3, 1.0), FieldConfig(3, 0.0)
-    calls = {"reflecting.plane_term_dn": lambda x1: rf.plane_term_dn(cfg, x1, -1),
-             "semitransparent.diagonal_coefficients":
+    calls = {"semitransparent.diagonal_coefficients":
                  lambda x1: st.diagonal_coefficients(SemitransparentBC.delta_prime(1.0), x1)}
     for mod, bc in ((rf, ReflectingBC.robin(2.0)), (st, SemitransparentBC.delta_prime(1.0))):
         name = mod.__name__.rpartition(".")[2]

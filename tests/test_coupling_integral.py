@@ -58,26 +58,12 @@ def test_batch_matches_single_points():
         assert list(mod.plane_term(cfg, bc, points)) == [mod.plane_term(cfg, bc, x) for x in points]
 
 
-def test_rule_needs_no_fallback_on_the_set():
+def test_rule_resolves_the_set():
     for (kind, coupling, d), xs in _groups().items():
         _, bc = _wall(kind, coupling)
         for _, rate in bc.images(1.0, 1.0).terms:
-            value, err_est, fallback = core._coupling_integrals(d, REFS["m"], np.array(xs), rate,
-                                                                (0.0,))
-            assert not fallback.any()
+            value, err_est = core._coupling_integrals(d, REFS["m"], np.array(xs), rate, (0.0,))
             assert (err_est <= 1e-13 * value).all()
-
-
-def test_fallback_agrees_with_the_rule(monkeypatch):
-    # QUADPACK over the same range takes over where the h and 2h sums disagree
-    xs = np.array([1e-8, 0.3, 5.0])
-    for rate in (2.0, -(1.0 - 1e-8)):
-        rule, _, _ = core._coupling_integrals(3, 1.0, xs, rate, (0.0, 1e-3))
-        monkeypatch.setattr(core, "_FALLBACK_DISAGREEMENT", 0.0)
-        quadpack, _, fallback = core._coupling_integrals(3, 1.0, xs, rate, (0.0, 1e-3))
-        monkeypatch.undo()
-        assert fallback.all()
-        assert quadpack == pytest.approx(rule, rel=1e-12)
 
 
 @pytest.mark.parametrize("d, b, x1, error", [

@@ -155,7 +155,7 @@ with open(os.path.join(os.path.dirname(__file__), "cancelling_refs.json"), encod
 def test_cancelling_golden_points_against_mpmath(key, quantity, wall, d, x1, u):
     # the coupling integral's target is about 1e-12 relative: its trapezoid
     # sums at h and 2h agree within 1e-6 (the error goes as that gap squared),
-    # else the point falls back to QUADPACK at core._FALLBACK_SPEC (1e-12)
+    # else it raises NumericalFailureError
     cfg, bc = FieldConfig(d, 1.0), _WALLS[wall]
     pinned = _CANCELLING_REFS[key]
     assert (pinned["quantity"], pinned["b"], pinned["d"], pinned["x1"], pinned["u"]) == (

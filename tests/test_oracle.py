@@ -1,6 +1,6 @@
 """The proper-time oracles: a trapezoid in ``s = ln tau`` over the erfcx
-image, checked against the closed forms by property, batch by batch, and
-through the QUADPACK fallback of the shared rule."""
+image, checked against the closed forms by property and batch by batch;
+and the shared rule's contract where its ``h`` and ``2h`` sums disagree."""
 
 import math
 import sys
@@ -14,7 +14,7 @@ from vacpol import core
 from vacpol import reflecting as rf
 from vacpol import semitransparent as stm
 from vacpol.core import FieldConfig
-from vacpol.errors import ParameterError
+from vacpol.errors import NumericalFailureError, ParameterError
 from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
 
 
@@ -101,7 +101,7 @@ def test_every_point_checked_before_positivity():
 
 
 def _oracle_trapezoids(monkeypatch):
-    # every (value, err_est, fallback) the shared rule returns while recording
+    # every (value, err_est) the shared rule returns while recording
     calls = []
     rule = core._log_trapezoid
 
@@ -113,7 +113,7 @@ def _oracle_trapezoids(monkeypatch):
     return calls
 
 
-def test_rule_needs_no_fallback_on_the_validate_grids(monkeypatch):
+def test_rule_resolves_the_validate_grids(monkeypatch):
     from vacpol.validation import reflecting_oracle_grid, semitransparent_oracle_grid
 
     grid = [(rf, d, m, ReflectingBC.robin(b), ax) for d, m, b, ax in reflecting_oracle_grid()]
@@ -123,26 +123,52 @@ def test_rule_needs_no_fallback_on_the_validate_grids(monkeypatch):
     for (mod, d, m, bc, ax), value in zip(grid, closed):
         assert mod.plane_term_oracle(FieldConfig(d, m), bc, ax) == pytest.approx(value, rel=1e-13)
     assert len(calls) == len(grid)
-    for value, err_est, fallback in calls:
-        assert not fallback.any()
+    for value, err_est in calls:
         assert (err_est <= 1e-13 * np.abs(value)).all()
 
 
-@pytest.mark.parametrize("u_above", (1e-6, 0.5, 3.3))
-@pytest.mark.parametrize("b", (2.0, -(1.0 - 1e-8)))
-def test_fallback_agrees_with_the_rule(monkeypatch, b, u_above):
-    # QUADPACK over the same range in s takes over where the h and 2h sums
-    # disagree; the strip oracle adds its free part's closed left tail to both
-    cfg, bc = FieldConfig(4, 1.0), ReflectingBC.robin(b)
+def _rule_entries():
+    # (id, call) of each route through the shared rule; each call's first
+    # value is the sum of its first point and row
     xs = np.array([1e-8, 0.7, 30.0])
-    u = cfg.d - 1 + u_above
-    rule = (rf.plane_term_oracle(cfg, bc, xs), rf.regularized_polarization_oracle(cfg, bc, 0.7, u))
-    monkeypatch.setattr(core, "_FALLBACK_DISAGREEMENT", -1.0)  # every point
-    calls = _oracle_trapezoids(monkeypatch)
-    quadpack = (rf.plane_term_oracle(cfg, bc, xs), rf.regularized_polarization_oracle(cfg, bc, 0.7, u))
-    assert all(fallback.all() for _, _, fallback in calls)
-    assert quadpack[0] == pytest.approx(rule[0], rel=1e-12, abs=0.0)
-    assert quadpack[1] == pytest.approx(rule[1], rel=1e-12, abs=0.0)
+    cfg = FieldConfig(4, 1.0)
+    entries = []
+    for b in (2.0, -(1.0 - 1e-8)):
+        bc = ReflectingBC.robin(b)
+        entries.append((f"coupling/b{b!r}",
+                        lambda b=b: core._coupling_integrals(3, 1.0, xs, b, (0.0, 1e-3))[0][0, 0]))
+        entries.append((f"plane_oracle/b{b!r}",
+                        lambda bc=bc: rf.plane_term_oracle(cfg, bc, xs)[0]))
+        for u_above in (1e-6, 0.5, 3.3):  # the strip oracle adds its free part's closed left tail
+            entries.append((f"strip_oracle/b{b!r}/u{u_above!r}",
+                            lambda bc=bc, u=cfg.d - 1 + u_above:
+                            rf.regularized_polarization_oracle(cfg, bc, 0.7, u)))
+    return entries
+
+
+_RULE_ENTRIES = _rule_entries()
+
+
+@pytest.mark.parametrize("call", [c for _, c in _RULE_ENTRIES], ids=[i for i, _ in _RULE_ENTRIES])
+def test_unresolved_sums_raise_with_the_rule_value(monkeypatch, call):
+    # where the h and 2h sums disagree the rule raises, naming its range in s
+    # and carrying the h sum; forced at every point by a threshold below 0
+    value = call()
+    monkeypatch.setattr(core, "_MAX_DISAGREEMENT", -1.0)
+    with pytest.raises(NumericalFailureError, match="trapezoid in s on") as info:
+        call()
+    assert info.value.best_estimate == value
+    assert info.value.error_bound >= 0.0
+
+
+def test_weak_delta_prime_wall_raises_with_a_finite_estimate():
+    # a delta-prime wall of strength 1e-12 cancels its head against its image
+    # to O(beta), past what the oracle's sums resolve: a NumericalFailureError,
+    # not a silently wrong value
+    cfg, bc = FieldConfig(1, 1.0), SemitransparentBC.delta_prime(1e-12)
+    with pytest.raises(NumericalFailureError) as info:
+        stm.plane_term_oracle(cfg, bc, 1.0)
+    assert math.isfinite(info.value.best_estimate)
 
 
 @pytest.mark.parametrize("d", (1, 2, 5, 11))
@@ -156,6 +182,31 @@ def test_strip_oracle_next_to_the_pole(d, u_above):
     assert rf.regularized_polarization_oracle(cfg, bc, 0.7, u) == pytest.approx(
         rf.regularized_polarization(cfg, bc, 0.7, u), rel=1e-8
     )
+
+
+@pytest.mark.parametrize("mod, bc", [(rf, ReflectingBC.robin(2.0)), (rf, ReflectingBC.dirichlet()),
+                                     (stm, SemitransparentBC.delta(1.0))])
+@pytest.mark.parametrize("d", (1, 4, 11))
+def test_strip_oracle_far_above_the_pole(mod, bc, d):
+    # at u = d - 1 + 40 the free part tau^20 e^{-m^2 tau} peaks about 1/sqrt(20)
+    # wide in s, narrower than the step that resolves the plane part alone; the
+    # continuation's coupling integrand narrows in the same way
+    cfg, u = FieldConfig(d, 1.0), d - 1 + 40.0
+    assert mod.regularized_polarization_oracle(cfg, bc, 0.3, u) == pytest.approx(
+        mod.regularized_polarization(cfg, bc, 0.3, u), rel=1e-8
+    )
+
+
+@pytest.mark.parametrize("d, mod, bc", [(1, rf, ReflectingBC.robin(20.0)),
+                                        (11, rf, ReflectingBC.robin(-(1.0 - 1e-10) * 10.0)),
+                                        (11, stm, SemitransparentBC.delta(-1.9999999 * 10.0))])
+def test_far_wall_integrals_near_underflow_keep_their_values(d, mod, bc):
+    # at 2m|x1| from 600 to 800 the integrals fall below the smallest normal
+    # double, where their h and 2h sums differ in the last subnormal digits:
+    # they pass rather than raise
+    cfg, xs = FieldConfig(d, 10.0), np.linspace(30.0, 40.0, 101)
+    assert np.isfinite(mod.plane_term(cfg, bc, xs)).all()
+    assert np.isfinite(mod.plane_term_oracle(cfg, bc, xs)).all()
 
 
 def test_past_double_range_is_a_parameter_error():

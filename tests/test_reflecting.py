@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies
 
 from vacpol.core import FieldConfig
-from vacpol.errors import InfraredDivergenceError, ParameterError, PoleError
+from vacpol.errors import InfraredDivergenceError, NumericalFailureError, ParameterError, PoleError
 from vacpol.heatkernel import DIRICHLET, ReflectingBC
 from vacpol.reflecting import (
     free_term,
@@ -13,7 +13,6 @@ from vacpol.reflecting import (
     laurent_coefficients,
     massless_value,
     plane_term,
-    plane_term_dn,
     plane_term_oracle,
     regularized_polarization,
     regularized_polarization_oracle,
@@ -25,6 +24,7 @@ from vacpol.specialfns import EULER_GAMMA
 from vacpol.validation import check_reflecting
 
 K0_OF_2 = 0.11389387274953343  # weighted Bessel at order 0, argument 2
+NEUMANN, DIRICHLET_WALL = ReflectingBC.neumann(), ReflectingBC.dirichlet()
 
 
 class TestFreeTerm:
@@ -57,16 +57,17 @@ class TestPlaneTerm:
 
     def test_neumann_dirichlet_opposite(self):
         cfg = FieldConfig(3, 0.7)
-        assert plane_term_dn(cfg, 1.2, +1) == pytest.approx(-plane_term_dn(cfg, 1.2, -1), rel=1e-15)
+        assert plane_term(cfg, NEUMANN, 1.2) == pytest.approx(-plane_term(cfg, DIRICHLET_WALL, 1.2),
+                                                              rel=1e-15)
 
     def test_dn_d2_value(self):
         # sqrt(pi/2) e^-2 / (2^(5/2) pi^(3/2)); oracle-checked magnitude
         cfg = FieldConfig(2, 1.0)
         expected = math.sqrt(math.pi / 2.0) * math.exp(-2.0) / (2.0**2.5 * math.pi**1.5)
-        assert plane_term_dn(cfg, 1.0, +1) == pytest.approx(expected, rel=1e-13)
-        assert plane_term_dn(cfg, 1.0, +1) == pytest.approx(0.005384819825462157, rel=1e-12)
-        oracle = plane_term_oracle(cfg, ReflectingBC.neumann(), 1.0)
-        assert plane_term_dn(cfg, 1.0, +1) == pytest.approx(oracle, rel=1e-9)
+        neumann = plane_term(cfg, NEUMANN, 1.0)
+        assert neumann == pytest.approx(expected, rel=1e-13)
+        assert neumann == pytest.approx(0.005384819825462157, rel=1e-12)
+        assert neumann == pytest.approx(plane_term_oracle(cfg, NEUMANN, 1.0), rel=1e-9)
 
     def test_oracle_agreement_robin(self):
         cfg = FieldConfig(3, 1.0)
@@ -123,12 +124,12 @@ class TestPlaneTerm:
     def test_huge_coupling_approaches_dirichlet(self):
         cfg = FieldConfig(3, 1.0)
         got = plane_term(cfg, ReflectingBC.robin(1e6), 1.0)
-        assert got == pytest.approx(plane_term_dn(cfg, 1.0, -1), abs=1e-4)
+        assert got == pytest.approx(plane_term(cfg, DIRICHLET_WALL, 1.0), abs=1e-4)
 
     def test_oracle_dirichlet_limit_in_coupling(self):
         cfg = FieldConfig(1, 1.0)
         got = plane_term_oracle(cfg, ReflectingBC.robin(1000.0), 1.0)
-        assert abs(got - plane_term_dn(cfg, 1.0, -1)) < 1e-2
+        assert abs(got - plane_term(cfg, DIRICHLET_WALL, 1.0)) < 1e-2
 
     def test_sides_are_independent(self):
         cfg = FieldConfig(2, 1.0)
@@ -136,7 +137,8 @@ class TestPlaneTerm:
         assert plane_term(cfg, bc, 0.5) == pytest.approx(
             plane_term(cfg, ReflectingBC.robin(2.0), 0.5), rel=1e-14
         )
-        assert plane_term(cfg, bc, -0.5) == pytest.approx(plane_term_dn(cfg, 0.5, -1), rel=1e-14)
+        assert plane_term(cfg, bc, -0.5) == pytest.approx(plane_term(cfg, DIRICHLET_WALL, 0.5),
+                                                          rel=1e-14)
 
     def test_parity_for_equal_faces(self):
         cfg = FieldConfig(4, 0.5)
@@ -150,7 +152,7 @@ class TestPlaneTerm:
         with pytest.raises(ParameterError):
             plane_term(FieldConfig(2, 0.0), ReflectingBC.neumann(), 1.0)
         with pytest.raises(ParameterError):
-            plane_term_dn(cfg, 0.0, +1)
+            plane_term(cfg, NEUMANN, 0.0)
 
     def test_near_threshold_warning(self):
         # the coupling integral is as fast and accurate near the threshold as
@@ -198,6 +200,43 @@ class TestRegularized:
         with pytest.raises(PoleError) as info:
             regularized_polarization(cfg, ReflectingBC.neumann(), 1.0, 2.0)
         assert info.value.pole == 2.0
+
+    @pytest.mark.parametrize("d, u", [(4, 24.1), (4, 7.3), (11, 31.1)])
+    def test_cancelling_parts_raise(self, d, u):
+        # near the wall far above the pole the free part cancels the plane part
+        # to below 1e-8 of either, and the total kept only about 1e-16 times
+        # their ratio (5.1e-7 relative at d = 4, u = 24.1): it raises instead,
+        # with the total as its best estimate
+        cfg = FieldConfig(d, 1.0)
+        with pytest.raises(NumericalFailureError, match="free part .* plane part") as info:
+            regularized_polarization(cfg, DIRICHLET_WALL, 1e-4, u)
+        oracle = regularized_polarization_oracle(cfg, DIRICHLET_WALL, 1e-4, u)
+        assert info.value.best_estimate == pytest.approx(oracle, rel=1e-5)
+
+    def test_partly_cancelling_parts_keep_a_value(self):
+        # at |x1| = 1e-3 the parts are 1.2e6 times the total, inside the limit
+        cfg = FieldConfig(4, 1.0)
+        assert regularized_polarization(cfg, DIRICHLET_WALL, 1e-3, 7.3) == pytest.approx(
+            regularized_polarization_oracle(cfg, DIRICHLET_WALL, 1e-3, 7.3), rel=1e-8
+        )
+
+    @pytest.mark.parametrize("d", (1, 3))
+    def test_far_above_the_poles_next_to_a_bound_state(self, d):
+        # at u = 70.3 the coupling integrand's power (v+1)^{u+1-d} passes double
+        # range on its own before its Bessel factor brings the product back
+        cfg, bc = FieldConfig(d, 1.0), ReflectingBC.robin(-0.9)
+        assert regularized_polarization(cfg, bc, 1e-3, 70.3) == pytest.approx(
+            regularized_polarization_oracle(cfg, bc, 1e-3, 70.3), rel=1e-8
+        )
+
+    def test_far_from_the_wall_below_the_poles(self):
+        # near 2m|x1| = 730 the coupling integrand's factors e^{-2m|x1|...} and
+        # e^w F leave the normal range apart; the plane part is negligible
+        # there, as at |x1| = 100, so the value is the same
+        cfg, bc = FieldConfig(3, 1.0), ReflectingBC.robin(0.01)
+        far = regularized_polarization(cfg, bc, 100.0, -20.3)
+        for x1 in (360.0, 363.0, 365.0, 367.0, 370.0):
+            assert regularized_polarization(cfg, bc, x1, -20.3) == pytest.approx(far, rel=1e-14)
 
     @pytest.mark.parametrize("u", [math.nan, math.inf, -math.inf])
     def test_non_finite_regulator_is_named(self, u):
@@ -355,7 +394,7 @@ def test_robin_between_dirichlet_and_neumann_and_monotone(d, x1, b, step):
     # a stiffer face (larger b) lowers the plane term, from Neumann at b = 0
     # towards Dirichlet
     cfg = FieldConfig(d, 1.0)
-    neumann, dirichlet = plane_term_dn(cfg, x1, 1), plane_term_dn(cfg, x1, -1)
+    neumann, dirichlet = plane_term(cfg, NEUMANN, x1), plane_term(cfg, DIRICHLET_WALL, x1)
     soft, stiff = (plane_term(cfg, ReflectingBC.robin(c), x1) for c in (b, b * step))
     slack = 1e-12 * neumann
     assert dirichlet - slack <= stiff <= soft + slack <= neumann + 2.0 * slack

@@ -299,13 +299,12 @@ class TestAsymptotics:
         # pure delta-prime = (Neumann + Robin(2/beta))/2 on the half-line,
         # hence the same split holds for the plane term itself
         from vacpol.reflecting import plane_term as refl_plane
-        from vacpol.reflecting import plane_term_dn
 
         cfg = FieldConfig(2, 1.0)
         beta = 1.0
         for x1 in (0.5, 1.0, 2.5):
             semi = plane_term(cfg, SemitransparentBC.delta_prime(beta), x1)
-            neumann = plane_term_dn(cfg, x1, +1)
+            neumann = refl_plane(cfg, ReflectingBC.neumann(), x1)
             robin = refl_plane(cfg, ReflectingBC.robin(2.0 / beta), x1)
             assert semi == pytest.approx(0.5 * (neumann + robin), rel=1e-10)
 

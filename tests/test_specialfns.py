@@ -12,7 +12,6 @@ from vacpol.specialfns import (
     erf,
     erfc,
     erfcx,
-    exp_e1,
     harmonic_number,
     upper_gamma,
     upper_gamma_scaled,
@@ -198,8 +197,14 @@ class TestUpperGamma:
                 plain = math.exp(w) * w**n * upper_gamma(-float(n), w)
                 assert upper_gamma_scaled(n, w) == pytest.approx(plain, rel=1e-9)
 
-    def test_exp_e1_large_no_overflow(self):
-        assert exp_e1(1e5) == pytest.approx(1e-5, rel=1e-3)
+    def test_scaled_n0_large_no_overflow(self):
+        assert upper_gamma_scaled(0, 1e5) == pytest.approx(1e-5, rel=1e-3)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.nan])
+    def test_scaled_n0_needs_positive_w(self, w):
+        # exp(w) E_1(w) diverges logarithmically at w = 0
+        with pytest.raises(ParameterError, match="w > 0"):
+            upper_gamma_scaled(0, w)
 
     def test_domain(self):
         with pytest.raises(ParameterError):

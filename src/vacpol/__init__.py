@@ -21,7 +21,6 @@ from .errors import (
     ParameterError,
     PoleError,
     SlowDecayWarning,
-    UnderflowToZeroWarning,
     VacpolError,
 )
 from .heatkernel import DIRICHLET, HeatQuery, ReflectingBC, SemitransparentBC
@@ -49,6 +48,5 @@ __all__ = [
     "InfraredDivergenceError",
     "NumericalFailureError",
     "SlowDecayWarning",
-    "UnderflowToZeroWarning",
     "__version__",
 ]

@@ -15,10 +15,11 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx as erfcx_array  # the oracles' arrays; erfcx below is the kernel's
+from scipy.special import rgamma
 
 from .errors import (
     InfraredDivergenceError,
@@ -138,11 +139,10 @@ class PolarizationValue:
     plane_term: float
     total: float
     branch: str
-    warnings: tuple = field(default_factory=tuple)
 
     @classmethod
-    def build(cls, free_term, plane_term, branch, warns=()):
-        return cls(free_term, plane_term, free_term + plane_term, branch, tuple(warns))
+    def build(cls, free_term, plane_term, branch):
+        return cls(free_term, plane_term, free_term + plane_term, branch)
 
 
 @dataclass(frozen=True)
@@ -311,14 +311,28 @@ def _check_regulator(u):
 
 def _continued_free_term(cfg, u):
     # free term of the continuation, off its poles:
-    # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2))
+    # m^{d-1} (kappa/m)^u Gamma((u-d+1)/2) / (2^{d+1} pi^{d/2} Gamma((u+1)/2)),
+    # 0 where 1/Gamma((u+1)/2) is (u = -1, -3, ... off the poles at odd d)
     d, m = cfg.d, cfg.m
-    return (
-        m ** (d - 1)
-        * (cfg.kappa / m) ** u
-        * math.gamma(0.5 * (u - d + 1))
-        / (2.0 ** (d + 1) * math.pi ** (0.5 * d) * math.gamma(0.5 * (u + 1)))
-    )
+    q, p = 0.5 * (u - d + 1), 0.5 * (u + 1)
+    try:
+        ratio = math.gamma(q) * float(rgamma(p))
+    except OverflowError:  # q > 171: both Gammas are past double range, their ratio is not
+        ratio = math.exp(math.lgamma(q) - math.lgamma(p))
+    return m ** (d - 1) * (cfg.kappa / m) ** u * ratio / (2.0 ** (d + 1) * math.pi ** (0.5 * d))
+
+
+def _checked_total(x1, u, free, total):
+    # the continuation's total, or NumericalFailureError (best estimate: the
+    # total) where its free and plane parts cancel past _MAX_CANCELLATION
+    plane = total - free
+    if max(abs(free), abs(plane)) > _MAX_CANCELLATION * abs(total):
+        raise NumericalFailureError(
+            f"regularized polarization at x1 = {x1!r}, u = {u!r}: its free part {free:.6g} "
+            f"and plane part {plane:.6g} cancel to {total:.3g}",
+            best_estimate=total,
+        )
+    return total
 
 
 def _with_continued_free_term(cfg, us, planes):
@@ -487,7 +501,6 @@ class ImageSum:
         # shifted by u; P(d, x1, 0) is the plane-term prefactor
         d, m, ax = cfg.d, cfg.m, np.abs(x1)
         u = np.asarray(us, dtype=float)
-        gammas = np.array([math.gamma(0.5 * (uj + 1)) for uj in us])
         bracket = np.stack([self.head * bessel_k_weighted(0.5 * (d - 1 - uj), 2.0 * m * ax)
                             for uj in us], axis=1)
         for weight, rate in self.terms:
@@ -496,7 +509,8 @@ class ImageSum:
             prefactor = (
                 2.0 ** (0.5 * (u - 3 * d + 1))
                 * (cfg.kappa * ax[:, None]) ** u
-                / (math.pi ** (0.5 * d) * gammas * ax[:, None] ** (d - 1))
+                * rgamma(0.5 * (u + 1))
+                / (math.pi ** (0.5 * d) * ax[:, None] ** (d - 1))
             )
             value = prefactor * bracket
         past = ~np.isfinite(value).all(axis=1)
@@ -636,23 +650,18 @@ class ImageSum:
                 pole=d - 1 - 2 * nearest,
             )
         free = _continued_free_term(cfg, u)
-        plane = float(self._plane(cfg, np.array([x1]), (u,))[0, 0])
-        total = free + plane
-        if max(abs(free), abs(plane)) > _MAX_CANCELLATION * abs(total):
-            raise NumericalFailureError(
-                f"regularized polarization at x1 = {x1!r}, u = {u!r}: its free part {free:.6g} "
-                f"and plane part {plane:.6g} cancel to {total:.3g}",
-                best_estimate=total,
-            )
-        return total
+        total = free + float(self._plane(cfg, np.array([x1]), (u,))[0, 0])
+        return _checked_total(x1, u, free, total)
 
     def regularized_polarization_oracle(self, cfg, x1, u):
-        """Direct proper-time representation in the strip ``u > d - 1``."""
+        """Direct proper-time representation in the strip ``u > d - 1``; it raises
+        as :meth:`regularized_polarization` does where its free and plane parts cancel."""
         _check_regulator(u)
         if not u > cfg.d - 1:
             raise ParameterError(f"strip representation needs u > d - 1 = {cfg.d - 1}")
         _require_mass(cfg, "regularized_polarization_oracle")
-        return float(self._proper_time_integral(cfg, np.array([abs(x1)]), u, free=True)[0])
+        total = float(self._proper_time_integral(cfg, np.array([abs(x1)]), u, free=True)[0])
+        return _checked_total(x1, u, _continued_free_term(cfg, u), total)
 
     def laurent_coefficients(self, cfg, x1):
         """Laurent data of the continuation at ``u = 0`` (four-point stencil,
@@ -670,9 +679,7 @@ class ImageSum:
         free = free_term(cfg)
         _require_mass(cfg, "plane_term")
         stencil = () if cfg.d % 2 == 0 else _stencil(_LAURENT_EPS)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plane, *values = self._plane(cfg, np.array([x1]), (0.0,) + stencil)[0]
+        plane, *values = self._plane(cfg, np.array([x1]), (0.0,) + stencil)[0]
         plane = float(plane)
         if stencil:
             c0 = _laurent_fit(_with_continued_free_term(cfg, stencil, values), _LAURENT_EPS).c0
@@ -690,8 +697,7 @@ class ImageSum:
                 best_estimate=c0,
                 error_bound=mismatch,
             )
-        notes = tuple(str(w.message) for w in caught)
-        return PolarizationValue.build(free, plane, branch, notes)
+        return PolarizationValue.build(free, plane, branch)
 
     def small_x_asymptotic(self, cfg, x1):
         """Leading near-wall term: ``head`` times the universal reflecting law."""

@@ -51,8 +51,3 @@ class SlowDecayWarning(RuntimeWarning):
     """A proper-time oracle's integrand decays slowly (a bound state
     reduces its decay rate in ``tau``); its range reaches further out, at
     the same accuracy."""
-
-
-class UnderflowToZeroWarning(RuntimeWarning):
-    """A function value below the double-precision exponential floor was
-    flushed to exactly zero."""

@@ -19,7 +19,7 @@ Accuracy targets (verified against 30-digit reference values in
 function                    domain                                   rel. err
 ==========================  =======================================  =========
 ``bessel_k_weighted``       ``|nu| <= 50``, every ``w > 0`` whose    <= 1e-12
-                            value is in double range
+                            value is a normal double
 ``upper_gamma``             ``a in [-20, 2]``, ``z > 0``             <= 1e-10
 ``upper_gamma_scaled``      ``n in 0..9``, ``w >= 0``                <= 1e-11
 ``erf`` / ``erfc``          all finite arguments (libm)              <= 1e-14
@@ -29,17 +29,15 @@ All functions are pure and stateless; concurrent calls are safe.
 """
 
 import math
-import warnings
 
 import numpy as np
 from scipy.special import erfcx as _erfcx
 from scipy.special import exp1, expn, exprel, gammaincc, kve
 
-from .errors import ParameterError, UnderflowToZeroWarning
+from .errors import ParameterError
 
 __all__ = [
     "EULER_GAMMA",
-    "UNDERFLOW_ARG",
     "bessel_k_weighted",
     "bessel_k_weighted_scaled",
     "upper_gamma",
@@ -52,10 +50,6 @@ __all__ = [
 
 #: Euler-Mascheroni constant, double precision.
 EULER_GAMMA = 0.5772156649015329
-
-#: Arguments beyond this are in the exp(-w) underflow regime; weighted Bessel
-#: values are flushed to zero (with a flag).  Integrand tails test against it.
-UNDERFLOW_ARG = 705.0
 
 _MAX_ORDER = 50.0
 
@@ -145,16 +139,10 @@ def _weighted(name, nu, w, scaled):
         raise ParameterError(f"{name} supports |nu| <= {_MAX_ORDER}, got nu={nu}")
     value = _k_weighted_scaled(nu, ws)
     if not scaled:
-        flushed = ws > UNDERFLOW_ARG
-        if flushed.any():
-            warnings.warn(
-                f"{name} argument beyond the exp(-w) underflow floor; value flushed to zero",
-                UnderflowToZeroWarning,
-                stacklevel=3,
-            )
-            value = np.where(flushed, 0.0, value * np.exp(-np.minimum(ws, UNDERFLOW_ARG)))
-        else:
-            value = value * np.exp(-ws)
+        # e^{-w} in two halves, so that only a product below the normal range
+        # underflows; where a half is 0 the scaled value may be inf, the product 0
+        half = np.exp(-0.5 * ws)
+        value = np.where(half > 0.0, value, 0.0) * half * half
     past = np.isinf(value)
     if past.any():
         raise ParameterError(f"{name} is past double range at nu={nu}, w={ws[past][0]}")
@@ -185,9 +173,10 @@ def bessel_k_weighted(nu, w):
     Returns
     -------
     float or numpy.ndarray
-        ``w**nu * K_nu(w)``.  Arguments beyond ``w ~ 705`` are in the
-        ``exp(-w)`` underflow regime; the value is flushed to ``0.0`` and
-        an :class:`~vacpol.errors.UnderflowToZeroWarning` is emitted.
+        ``w**nu * K_nu(w)``.  Below the smallest normal double (from
+        about ``w = 708 + (nu - 1/2) ln w`` on) the value underflows
+        gradually, as ``math.exp`` does, and it is ``0.0`` past about
+        ``w = 745 + (nu - 1/2) ln w``.
 
     Raises
     ------
@@ -264,8 +253,10 @@ def upper_gamma(a, z):
     * small ``z``, fractional ``a < 0``: downward recurrence
       ``Gamma(a, z) = (Gamma(a+1, z) - z^a e^-z)/a`` seeded in ``(0, 1)``.
     """
-    if not z > 0.0:
-        raise ParameterError(f"upper_gamma requires z > 0, got z={z}")
+    if not math.isfinite(a):
+        raise ParameterError(f"upper_gamma requires a finite a, got a={a}")
+    if not 0.0 < z < math.inf:
+        raise ParameterError(f"upper_gamma requires a finite z > 0, got z={z}")
     if z > max(1.0, a + 1.0):
         return math.exp(-z + a * math.log(z)) * _upper_gamma_cf(a, z)
     if a > 0.0:
@@ -295,13 +286,15 @@ def upper_gamma_scaled(n, w):
     ``exp(w) * E_1(w)``, which diverges logarithmically at ``w = 0`` (``w > 0``
     required).  Up to ``w = 1`` it is ``exp(w) * scipy.special.expn(n+1, w)``.
     """
+    if not math.isfinite(n):
+        raise ParameterError(f"upper_gamma_scaled requires a finite n, got n={n}")
     n = int(n)
     if n < 0:
         raise ParameterError(f"upper_gamma_scaled requires n >= 0, got n={n}")
     if n == 0 and not w > 0.0:
         raise ParameterError(f"upper_gamma_scaled requires w > 0 at n = 0, got w={w}")
-    if w < 0.0:
-        raise ParameterError(f"upper_gamma_scaled requires w >= 0, got w={w}")
+    if not 0.0 <= w < math.inf:
+        raise ParameterError(f"upper_gamma_scaled requires a finite w >= 0, got w={w}")
     if w > 1.0:
         return _upper_gamma_cf(-float(n), w)
     return math.exp(w) * float(exp1(w) if n == 0 else expn(n + 1, w))

@@ -14,11 +14,10 @@ def _silence_slow_decay_warnings():
     # bound-state couplings legitimately warn; keep test output readable
     import warnings
 
-    from vacpol.errors import SlowDecayWarning, UnderflowToZeroWarning
+    from vacpol.errors import SlowDecayWarning
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SlowDecayWarning)
-        warnings.simplefilter("ignore", UnderflowToZeroWarning)
         yield
 
 

@@ -52,9 +52,26 @@ def test_bad_mass_is_named_everywhere(m):
 
 
 def test_polarization_value_split_is_exact():
-    value = PolarizationValue.build(0.125, -0.5, "test", ("note",))
+    value = PolarizationValue.build(0.125, -0.5, "test")
     assert value.total == value.free_term + value.plane_term
-    assert value.warnings == ("note",)
+
+
+@pytest.mark.parametrize("wall", ["robin", "delta_prime"])
+@pytest.mark.parametrize("d, u", [(1, -1.0), (3, -1.0), (5, -3.0), (3, -5.0)])
+def test_continuation_vanishes_where_its_gamma_factor_does(wall, d, u):
+    # at odd d the zeros u = -1, -3, ... of 1/Gamma((u+1)/2) are off the pole
+    # lattice, and the continuation passes through 0 there
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.heatkernel import ReflectingBC, SemitransparentBC
+
+    mod, bc = {"robin": (rf, ReflectingBC.robin(1.0)),
+               "delta_prime": (st, SemitransparentBC.delta_prime(1.0))}[wall]
+    cfg = FieldConfig(d, 1.0)
+    assert mod.regularized_polarization(cfg, bc, 0.7, u) == 0.0
+    above, below = (mod.regularized_polarization(cfg, bc, 0.7, u + e) for e in (1e-9, -1e-9))
+    assert above == pytest.approx(-below, rel=1e-6, abs=0.0)
+    assert 0.0 < abs(above) < 1e-9
 
 
 def test_sign_excludes_the_wall():

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import sys
 
 import pytest
 
@@ -120,6 +121,19 @@ def test_weighted_bessel_below_the_scipy_floor():
     cases = [(rng.uniform(0.0, 50.0), 10 ** rng.uniform(-323, -305)) for _ in range(60)]
     cases += [(nu, w) for nu in (0.0, 1e-9, 0.3, 0.5, 1.0) for w in (5e-324, 1e-310, 2e-305)]
     assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
+
+
+def test_weighted_bessel_gradual_underflow():
+    # e^{-w} leaves the normal range near w = 708: the value stays right
+    # wherever it is a normal double, and below that it underflows gradually
+    rng = random.Random(189)
+    cases = [(rng.uniform(-5.0, 50.0), rng.uniform(700.0, 760.0)) for _ in range(200)]
+    cases += [(1.0, 705.4), (5.0, 705.4), (0.5, 708.0), (50.0, 760.0), (0.0, 745.0)]
+    normal = [(nu, w) for nu, w in cases if _weighted_bessel_mp(nu, w) >= sys.float_info.min]
+    assert len(normal) > 100
+    assert _worst_relative_error(bessel_k_weighted, normal) < 1e-12
+    for nu, w in set(cases) - set(normal):
+        assert abs(bessel_k_weighted(nu, w) - _weighted_bessel_mp(nu, w)) < 1e-322, (nu, w)
 
 
 def test_weighted_bessel_high_orders():

@@ -197,6 +197,22 @@ def test_strip_oracle_far_above_the_pole(mod, bc, d):
     )
 
 
+@pytest.mark.parametrize("d, m, x1, u", [(3, 1.0, 0.7, 345.3), (3, 1.0, 0.7, 400.3),
+                                         (1, 2.0, 0.3, 360.5), (11, 1.0, 0.7, 400.3)])
+def test_strip_oracle_past_the_gamma_range(d, m, x1, u):
+    # Gamma((u-d+1)/2) alone is past double range, and so is the free part's
+    # Gamma ratio unless it is formed from lgamma; the Dirichlet total is
+    # Gamma(q) m^{-2q} - 2 (|x1|/m)^q K_q(2m|x1|), q = (u-d+1)/2, over
+    # 2 (4 pi)^{d/2} Gamma((u+1)/2)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q, mm, x = (mpmath.mpf(u) - d + 1) / 2, mpmath.mpf(m), mpmath.mpf(x1)
+        exact = (mpmath.gamma(q) * mm ** (-2 * q) - 2 * (x / mm) ** q * mpmath.besselk(q, 2 * mm * x)) / (
+            2 * (4 * mpmath.pi) ** (mpmath.mpf(d) / 2) * mpmath.gamma((mpmath.mpf(u) + 1) / 2))
+    got = rf.regularized_polarization_oracle(FieldConfig(d, m), ReflectingBC.dirichlet(), x1, u)
+    assert got == pytest.approx(float(exact), rel=1e-8, abs=0.0)
+
+
 @pytest.mark.parametrize("d, mod, bc", [(1, rf, ReflectingBC.robin(20.0)),
                                         (11, rf, ReflectingBC.robin(-(1.0 - 1e-10) * 10.0)),
                                         (11, stm, SemitransparentBC.delta(-1.9999999 * 10.0))])
@@ -207,6 +223,17 @@ def test_far_wall_integrals_near_underflow_keep_their_values(d, mod, bc):
     cfg, xs = FieldConfig(d, 10.0), np.linspace(30.0, 40.0, 101)
     assert np.isfinite(mod.plane_term(cfg, bc, xs)).all()
     assert np.isfinite(mod.plane_term_oracle(cfg, bc, xs)).all()
+
+
+@pytest.mark.parametrize("d, m, mod, bc", [(3, 1e3, rf, ReflectingBC.neumann()),
+                                           (3, 1e3, rf, ReflectingBC.robin(2e3)),
+                                           (11, 1e4, stm, SemitransparentBC.delta_prime(1.0))])
+def test_far_wall_head_past_705_keeps_its_value(d, m, mod, bc):
+    # at 2m|x1| = 705.4 the head F((d-1)/2, 2m|x1|) is still a normal double,
+    # and so is the plane term: a large prefactor P carries it
+    cfg, x1 = FieldConfig(d, m), 705.4 / (2.0 * m)
+    assert mod.plane_term(cfg, bc, x1) == pytest.approx(mod.plane_term_oracle(cfg, bc, x1),
+                                                        rel=1e-12, abs=0.0)
 
 
 def test_past_double_range_is_a_parameter_error():

@@ -1,10 +1,9 @@
 import math
-import warnings
 
 import pytest
 from scipy.integrate import quad
 
-from vacpol.errors import ParameterError, UnderflowToZeroWarning
+from vacpol.errors import ParameterError
 from vacpol.specialfns import (
     EULER_GAMMA,
     bessel_k_weighted,
@@ -100,10 +99,6 @@ class TestWeightedBesselK:
                     bessel_k_weighted(nu, w) * math.exp(w), rel=1e-12
                 )
 
-    def test_underflow_flag(self):
-        with pytest.warns(UnderflowToZeroWarning):
-            assert bessel_k_weighted(1.0, 800.0) == 0.0
-
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
             bessel_k_weighted(1.0, 0.0)
@@ -127,19 +122,21 @@ class TestWeightedBesselK:
         with pytest.raises(ParameterError, match=r"nu=.*w="):
             fn(nu, w)
 
+    @pytest.mark.parametrize("nu, w", [(50.0, 1e13), (50.0, 1.8e6), (3.0, 1e300)])
+    def test_past_the_subnormal_range_is_zero(self, nu, w):
+        # the scaled value is inf here, and e^{-w/2} is 0
+        assert bessel_k_weighted(nu, w) == 0.0
+
     def test_arrays_match_points(self):
         # one code path: every edge (w**nu split, Hankel, small-w series,
-        # underflow flush) gives each array element its single-point value
+        # underflow past the subnormal range) gives each array element its
+        # single-point value
         edges = [2e9, 1e-310, 0.7, 800.0]
         cases = [(50.0, [1.5e6, 3e-5, 0.7])] + [(nu, edges) for nu in (0.0, 0.3, 2.5, -0.2)]
         for fn in (bessel_k_weighted, bessel_k_weighted_scaled):
             for nu, w in cases:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UnderflowToZeroWarning)
-                    got = fn(nu, w)
-                    assert list(got) == [fn(nu, x) for x in w]
-        with pytest.warns(UnderflowToZeroWarning):
-            assert list(bessel_k_weighted(1.0, [800.0, 1.0]))[0] == 0.0
+                got = fn(nu, w)
+                assert list(got) == [fn(nu, x) for x in w]
         with pytest.raises(ParameterError, match="w=-1.0"):
             bessel_k_weighted_scaled(1.0, [1.0, -1.0])
 
@@ -211,6 +208,25 @@ class TestUpperGamma:
             upper_gamma(0.0, 0.0)
         with pytest.raises(ParameterError):
             upper_gamma(0.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "fn, args, name",
+        [
+            (upper_gamma, (math.nan, 1.0), "a"),
+            (upper_gamma, (math.inf, 1.0), "a"),
+            (upper_gamma, (-math.inf, 1.0), "a"),
+            (upper_gamma, (1.0, math.inf), "z"),
+            (upper_gamma, (-2.5, math.nan), "z"),
+            (upper_gamma_scaled, (math.nan, 1.0), "n"),
+            (upper_gamma_scaled, (math.inf, 1.0), "n"),
+            (upper_gamma_scaled, (1, math.nan), "w"),
+            (upper_gamma_scaled, (0, math.inf), "w"),
+            (upper_gamma_scaled, (3, math.inf), "w"),
+        ],
+    )
+    def test_non_finite_arguments_are_named(self, fn, args, name):
+        with pytest.raises(ParameterError, match=rf"finite {name}\b.*got {name}="):
+            fn(*args)
 
 
 class TestErf:

@@ -20,7 +20,6 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
     PoleError,
-    SlowDecayWarning,
     VacpolError,
 )
 from .heatkernel import DIRICHLET, HeatQuery, ReflectingBC, SemitransparentBC
@@ -47,6 +46,5 @@ __all__ = [
     "PoleError",
     "InfraredDivergenceError",
     "NumericalFailureError",
-    "SlowDecayWarning",
     "__version__",
 ]

@@ -14,7 +14,6 @@ evaluated here from it.
 import cmath
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
     PoleError,
-    SlowDecayWarning,
 )
 from .specialfns import (
     EULER_GAMMA,
@@ -45,8 +43,6 @@ __all__ = [
     "ImageSum",
     "fit_laurent_at_zero",
     "free_term",
-    "plane_term",
-    "plane_term_oracle",
 ]
 
 # The coupling integral is a trapezoid in s = ln v, step _STEP/sqrt(p), from
@@ -256,21 +252,6 @@ def _per_side(cfg, bc, x1, observable):
     return float(out[0]) if points.ndim == 0 else out
 
 
-def plane_term(cfg, bc, x1):
-    """Plane term of the wall ``bc`` at the signed distances ``x1``, a float
-    or a 1-D array of them: the points of each side are one batch of that
-    side's :class:`ImageSum` (``bc.images``).  A float gives a float, an
-    array an array in the same order.  Every point is checked (see
-    :func:`sign`) before the wall's positivity."""
-    return _per_side(cfg, bc, x1, "plane_term")
-
-
-def plane_term_oracle(cfg, bc, x1):
-    """Proper-time oracle of :func:`plane_term` (:meth:`ImageSum.plane_term_oracle`),
-    with the same entry: a float or a 1-D array, one batch per side."""
-    return _per_side(cfg, bc, x1, "plane_term_oracle")
-
-
 def gaussian_free_factor(d):
     """(4 pi)**(d/2), shared normalization of the heat-kernel integrals."""
     return (4.0 * math.pi) ** (0.5 * d)
@@ -340,13 +321,23 @@ def _with_continued_free_term(cfg, us, planes):
     return [_continued_free_term(cfg, u) + float(p) for u, p in zip(us, planes)]
 
 
-def _small_x_leading(d, m, x1):
-    ax = abs(x1)
+def _small_x_leading(d, m, ax):
+    # the universal near-wall law at the distances ax, a float or an array
     if d == 1:
-        return -math.log(m * ax) / (2.0 * math.pi)
+        return -np.log(m * ax) / (2.0 * math.pi)
     if d == 2:
         return 1.0 / (8.0 * math.pi * ax)
     return math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
+
+
+def _within_range(value, ax, what):
+    # value, or a ParameterError naming the first distance in ax at which
+    # `what` is past double range; value's first axis runs over ax
+    past = ~np.isfinite(value)
+    if past.any():
+        i = np.argwhere(past)[0][0]
+        raise ParameterError(f"{what} is past double range at |x1| = {float(ax[i])!r}")
+    return value
 
 
 def _log_integrand(d, m, rate, us, ax, s):
@@ -485,7 +476,7 @@ class ImageSum:
 
     The methods take already validated points (see :func:`sign`) and
     evaluate every observable of both geometry modules and of the heat
-    kernels; :meth:`plane_term` takes an array of points on one side.
+    kernels; the methods that take an array take the points of one side.
     """
 
     head: complex
@@ -513,12 +504,7 @@ class ImageSum:
                 / (math.pi ** (0.5 * d) * ax[:, None] ** (d - 1))
             )
             value = prefactor * bracket
-        past = ~np.isfinite(value).all(axis=1)
-        if past.any():
-            raise ParameterError(
-                f"the plane term is past double range at |x1| = {float(ax[past][0])!r}"
-            )
-        return value
+        return _within_range(value, ax, "the plane term")
 
     def _proper_time_integrand(self, m, ax, log_ax, q, scale, free, s):
         # e^{scale + qs - m^2 tau} [free + head e^{-x1^2/tau}
@@ -543,11 +529,7 @@ class ImageSum:
                               + 2.0 * rate * ax)
                     image = np.where(arg < 0.0, np.exp(growth) - image, image)
                 value += 0.5 * weight * image
-        past = ~np.isfinite(value)
-        if past.any():
-            x1 = float(ax[past][0])
-            raise ParameterError(f"the proper-time integral is past double range at |x1| = {x1!r}")
-        return value[None, ...]
+        return _within_range(value, ax, "the proper-time integral")[None, ...]
 
     def _proper_time_integral(self, cfg, ax, u, free):
         # kappa^u / (2 (4 pi)^{d/2} Gamma((u+1)/2)) int_0^inf dtau tau^{(u-d-1)/2} e^{-m^2 tau}
@@ -622,15 +604,6 @@ class ImageSum:
         the quadrature rule (:func:`_log_trapezoid`, in ``s = ln tau``) is
         the one of the coupling integral."""
         _require_mass(cfg, "plane_term_oracle")
-        slowest = min((rate for _, rate in self.terms), default=math.inf)
-        if slowest < 0.0:
-            # a bound state slows the proper-time decay to exp(-(m^2 - rate^2) tau)
-            warnings.warn(
-                f"oracle integrand decays at reduced rate m^2 - rate^2 for image rate "
-                f"{slowest} < 0",
-                SlowDecayWarning,
-                stacklevel=5,
-            )
         return self._proper_time_integral(cfg, np.abs(np.asarray(x1, dtype=float)), 0.0,
                                           free=False)
 
@@ -702,18 +675,23 @@ class ImageSum:
     def small_x_asymptotic(self, cfg, x1):
         """Leading near-wall term: ``head`` times the universal reflecting law."""
         _require_mass(cfg, "small_x_asymptotic")
-        return self.head * _small_x_leading(cfg.d, cfg.m, x1)
+        ax = np.abs(x1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = self.head * _small_x_leading(cfg.d, cfg.m, ax)
+        return _within_range(value, ax, "the near-wall law")
 
     def large_x_asymptotic(self, cfg, x1):
         """Leading far-wall decay: the ``e^{-2m|x1|}/|x1|^{d/2}`` envelope
         times the ratio ``head + sum weight/(2 (rate + m))``."""
         _require_mass(cfg, "large_x_asymptotic")
-        d, m, ax = cfg.d, cfg.m, abs(x1)
+        d, m, ax = cfg.d, cfg.m, np.abs(x1)
         ratio = self.head
         for weight, rate in self.terms:
             ratio += weight / (2.0 * (rate + m))
-        envelope = m ** (0.5 * (d - 2)) / (2.0 * gaussian_free_factor(d)) * math.exp(-2.0 * m * ax)
-        return envelope / ax ** (0.5 * d) * ratio
+        envelope = m ** (0.5 * (d - 2)) / (2.0 * gaussian_free_factor(d)) * np.exp(-2.0 * m * ax)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            value = envelope / ax ** (0.5 * d) * ratio
+        return _within_range(value, ax, "the far-wall law")
 
     def massless_value(self, cfg, x1):
         r"""Massless limit of ``free + plane`` (``m = 0``); the free term is 0.
@@ -736,4 +714,4 @@ class ImageSum:
         bracket = self.head
         for weight, rate in self.terms:
             bracket += weight * ax * upper_gamma_scaled(d - 2, 2.0 * rate * ax)
-        return _small_x_leading(d, 0.0, x1) * bracket
+        return _small_x_leading(d, 0.0, ax) * bracket

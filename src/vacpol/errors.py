@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories shared by all vacpol modules."""
+"""Exception hierarchy shared by all vacpol modules."""
 
 
 class VacpolError(Exception):
@@ -46,8 +46,3 @@ class NumericalFailureError(VacpolError):
         self.best_estimate = best_estimate
         self.error_bound = error_bound
 
-
-class SlowDecayWarning(RuntimeWarning):
-    """A proper-time oracle's integrand decays slowly (a bound state
-    reduces its decay rate in ``tau``); its range reaches further out, at
-    the same accuracy."""

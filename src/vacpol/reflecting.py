@@ -25,7 +25,7 @@ finite and nonzero; couplings must satisfy ``b > -m`` (``b >= 0`` when
 import math
 
 from . import core
-from .core import PolarizationValue, SpectrumReport, _point_images
+from .core import PolarizationValue, SpectrumReport, _per_side, _point_images
 from .errors import InfraredDivergenceError
 
 __all__ = [
@@ -55,7 +55,7 @@ def plane_term(cfg, bc, x1):
     ``x1`` is a float or a 1-D array of distances; an array gives an array,
     evaluated as one batch per side (a float is a batch of one).
     """
-    return core.plane_term(cfg, bc, x1)
+    return _per_side(cfg, bc, x1, "plane_term")
 
 
 def plane_term_oracle(cfg, bc, x1):
@@ -75,7 +75,7 @@ def plane_term_oracle(cfg, bc, x1):
     the peak at ``tau = |x1|/m``.  ``x1`` is a float or a 1-D array, as for
     :func:`plane_term`: one batch per side.
     """
-    return core.plane_term_oracle(cfg, bc, x1)
+    return _per_side(cfg, bc, x1, "plane_term_oracle")
 
 
 def regularized_polarization(cfg, bc, x1, u):
@@ -137,8 +137,9 @@ def small_x_asymptotic(cfg, bc, x1):
     ``-log(m|x1|)/(2 pi)`` for ``d = 1``, ``1/(8 pi |x1|)`` for ``d = 2``,
     ``Gamma((d-1)/2)/((4 pi)^((d+1)/2) |x1|^(d-1))`` for ``d >= 3`` --
     independent of any finite coupling; the Dirichlet face flips the sign.
+    ``x1`` is a float or a 1-D array, as for :func:`plane_term`.
     """
-    return _point_images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
+    return _per_side(cfg, bc, x1, "small_x_asymptotic")
 
 
 def large_x_asymptotic(cfg, bc, x1):
@@ -146,9 +147,10 @@ def large_x_asymptotic(cfg, bc, x1):
 
         m^((d-2)/2)/(2 (4 pi)^(d/2)) * (m - b)/(m + b) * e^(-2 m |x1|) / |x1|^(d/2),
 
-    with the coupling ratio replaced by ``-1`` for a Dirichlet face.
+    with the coupling ratio replaced by ``-1`` for a Dirichlet face; ``x1``
+    is a float or a 1-D array, as for :func:`small_x_asymptotic`.
     """
-    return _point_images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
+    return _per_side(cfg, bc, x1, "large_x_asymptotic")
 
 
 def massless_value(cfg, bc, x1):

@@ -20,7 +20,7 @@ divergence: the leading small-``x1`` term vanishes identically.
 from dataclasses import dataclass
 
 from . import core
-from .core import PolarizationValue, SpectrumReport, _point_images, sign
+from .core import PolarizationValue, SpectrumReport, _per_side, _point_images, sign
 from .errors import InfraredDivergenceError
 
 __all__ = [
@@ -100,14 +100,14 @@ def plane_term(cfg, bc, x1):
     """Boundary contribution of the semitransparent wall at signed ``x1``, a
     float or a 1-D array of distances (one batch per side, as in
     :func:`vacpol.reflecting.plane_term`)."""
-    return core.plane_term(cfg, bc, x1)
+    return _per_side(cfg, bc, x1, "plane_term")
 
 
 def plane_term_oracle(cfg, bc, x1):
     """Independent oracle of :func:`plane_term` from its proper-time
     representation (see :func:`vacpol.reflecting.plane_term_oracle`); a
     float or a 1-D array of distances, one batch per side."""
-    return core.plane_term_oracle(cfg, bc, x1)
+    return _per_side(cfg, bc, x1, "plane_term_oracle")
 
 
 def regularized_polarization(cfg, bc, x1, u):
@@ -145,15 +145,17 @@ def small_x_asymptotic(cfg, bc, x1):
     ``beta = 0``: the reflecting-type leading term multiplied by
     ``sgn(x1) (alpha-sigma)/(alpha+sigma)`` -- identically zero for the
     pure delta wall (divergence softening).  ``beta != 0``: coefficient 1,
-    coinciding with the reflecting leading term for every ``d``.
+    coinciding with the reflecting leading term for every ``d``.  ``x1`` is
+    a float or a 1-D array (see :func:`vacpol.reflecting.small_x_asymptotic`).
     """
-    return _point_images(cfg, bc, x1).small_x_asymptotic(cfg, x1)
+    return _per_side(cfg, bc, x1, "small_x_asymptotic")
 
 
 def large_x_asymptotic(cfg, bc, x1):
     """Leading exponential decay far from the wall (family-specific coupling
-    ratio times the shared ``e^{-2m|x1|}/|x1|^{d/2}`` envelope)."""
-    return _point_images(cfg, bc, x1).large_x_asymptotic(cfg, x1)
+    ratio times the shared ``e^{-2m|x1|}/|x1|^{d/2}`` envelope); ``x1`` is a
+    float or a 1-D array."""
+    return _per_side(cfg, bc, x1, "large_x_asymptotic")
 
 
 def massless_value(cfg, bc, x1):

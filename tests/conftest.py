@@ -5,20 +5,7 @@ import cmath
 import math
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
-
-
-@pytest.fixture(autouse=True)
-def _silence_slow_decay_warnings():
-    # bound-state couplings legitimately warn; keep test output readable
-    import warnings
-
-    from vacpol.errors import SlowDecayWarning
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowDecayWarning)
-        yield
 
 
 def scattering_kernel(bc, tau, x, y, kmax=None):

@@ -109,6 +109,12 @@ class TestProfile:
             assert out.returncode == 2
             assert ": m " in out.stderr
 
+    def test_infinite_grid_bound_exit_2(self, run_cli):
+        out = run_cli("profile", "--x-max", "inf")
+        assert out.returncode == 2
+        assert out.stderr.count("\n") == 1  # one line, no traceback or warning
+        assert "x_max = inf" in out.stderr
+
     def test_infrared_exit_3(self, run_cli):
         out = run_cli("profile", "--geometry", "reflecting", "--d", "1", "--m", "0",
                       "--b-plus", "0", "--b-minus", "0", "--points", "3",
@@ -215,9 +221,23 @@ class TestValidate:
         payload = json.loads(out.stdout)
         assert all(entry["passed"] for entry in payload)
 
-    def test_tol_scale_tightening_can_fail(self, run_cli):
-        out = run_cli("validate", "--suite", "specialfns", "--tol-scale", "1e-16")
+    def test_failing_check_exits_1(self, run_cli, monkeypatch):
+        # a suite with one failing check, run after every built-in suite
+        from vacpol import validation
+
+        monkeypatch.setitem(validation.SUITES, "failing",
+                            lambda: [validation._check("failing.check", 2.0, 1.0)])
+        out = run_cli("validate")
         assert out.returncode == 1
+        lines = out.stdout.splitlines()
+        assert "FAIL failing.check: deviation=2.000e+00 tolerance=1.000e+00" in lines
+        n = len(lines) - 1
+        assert lines[-1] == f"{n - 1}/{n} checks passed"
+        out = run_cli("validate", "--output", "json")
+        assert out.returncode == 1
+        assert '"passed": false' in out.stdout
+        payload = json.loads(out.stdout)
+        assert [e["name"] for e in payload if not e["passed"]] == ["failing.check"]
 
 
 class TestConfigFile:
@@ -343,6 +363,13 @@ class TestAsymptotics:
         header, rows = parse_csv(out.stdout)
         assert header == ["x1", "asympt_small", "asympt_large"]
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("d, x_min, x_max", [(11, "1e-40", "1e-30"), (3, "1e-200", "1e-160")])
+    def test_law_past_double_range_exit_2(self, run_cli, d, x_min, x_max):
+        out = run_cli("asymptotics", "--d", str(d), "--x-min", x_min, "--x-max", x_max)
+        assert out.returncode == 2
+        assert out.stderr == ("vacpol: invalid parameters: the near-wall law is past double "
+                              f"range at |x1| = {x_min}\n")
 
     def test_requires_mass(self, run_cli):
         out = run_cli("asymptotics", "--d", "2", "--m", "0", "--points", "3")

@@ -23,14 +23,13 @@ import json
 import math
 import pathlib
 import subprocess
-import warnings
 
 import pytest
 
 from vacpol import reflecting as rf
 from vacpol import semitransparent as st
 from vacpol.core import FieldConfig
-from vacpol.errors import SlowDecayWarning, VacpolError
+from vacpol.errors import VacpolError
 from vacpol.heatkernel import (
     DIRICHLET,
     HeatQuery,
@@ -147,9 +146,7 @@ QUANTITIES = ("plane_term", "regularized", "small_x", "large_x", "renormalize", 
 
 
 def compute(quantity):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SlowDecayWarning)
-        return {key: _outcome(fn, *args) for key, fn, args in _cases(quantity)}
+    return {key: _outcome(fn, *args) for key, fn, args in _cases(quantity)}
 
 
 def _mismatch(pinned, got):

@@ -154,19 +154,14 @@ class TestPlaneTerm:
         with pytest.raises(ParameterError):
             plane_term(cfg, NEUMANN, 0.0)
 
-    def test_near_threshold_warning(self):
+    def test_near_threshold_and_bound_state_oracle(self):
         # the coupling integral is as fast and accurate near the threshold as
-        # away from it, so only the oracle, slowed by the bound state, warns
-        import warnings
-
-        from vacpol.errors import SlowDecayWarning
-
+        # away from it; the oracle, whose decay in tau a bound state slows,
+        # meets the closed form all the same
         cfg = FieldConfig(2, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", SlowDecayWarning)
-            assert math.isfinite(plane_term(cfg, ReflectingBC.robin(-1.0 + 1e-8), 1.0))
-        with pytest.warns(SlowDecayWarning):
-            plane_term_oracle(cfg, ReflectingBC.robin(-0.4), 1.0)
+        assert math.isfinite(plane_term(cfg, ReflectingBC.robin(-1.0 + 1e-8), 1.0))
+        bc = ReflectingBC.robin(-0.4)
+        assert plane_term_oracle(cfg, bc, 1.0) == pytest.approx(plane_term(cfg, bc, 1.0), rel=1e-8)
 
 
 class TestRegularized:
@@ -310,6 +305,20 @@ class TestAsymptotics:
         got = large_x_asymptotic(cfg, ReflectingBC.dirichlet(), 4.0)
         neu = large_x_asymptotic(cfg, ReflectingBC.neumann(), 4.0)
         assert got == pytest.approx(-neu, rel=1e-15)
+
+    def test_laws_take_arrays(self):
+        # one batch per side, in the order given
+        cfg, bc = FieldConfig(3, 1.0), ReflectingBC(2.0, DIRICHLET)
+        xs = [0.3, -0.05, 2.0, -4.0]
+        for law in (small_x_asymptotic, large_x_asymptotic):
+            assert list(law(cfg, bc, xs)) == [law(cfg, bc, x) for x in xs]
+
+    @pytest.mark.parametrize("law, what, x1", [(small_x_asymptotic, "near-wall", 1e-40),
+                                               (large_x_asymptotic, "far-wall", 1e-60)])
+    def test_law_past_double_range_names_x1(self, law, what, x1):
+        named = rf"{what} law is past double range at \|x1\| = {x1!r}$"
+        with pytest.raises(ParameterError, match=named):
+            law(FieldConfig(11, 1.0), NEUMANN, [1.0, -x1])
 
 
 class TestMassless:

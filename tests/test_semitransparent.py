@@ -198,12 +198,10 @@ class TestPlaneTerm:
         with pytest.raises(ParameterError):
             plane_term(cfg, SemitransparentBC.delta_prime(-1.0), 1.0)  # Lambda_- = -2
 
-    def test_bound_state_oracle_warns(self):
-        from vacpol.errors import SlowDecayWarning
-
-        cfg = FieldConfig(2, 1.0)
-        with pytest.warns(SlowDecayWarning):
-            plane_term_oracle(cfg, SemitransparentBC.delta(-1.0), 0.8)
+    def test_bound_state_oracle_matches(self):
+        # a bound state slows the oracle's decay in tau, not its accuracy
+        cfg, bc = FieldConfig(2, 1.0), SemitransparentBC.delta(-1.0)
+        assert plane_term_oracle(cfg, bc, 0.8) == pytest.approx(plane_term(cfg, bc, 0.8), rel=1e-8)
 
 
 class TestRegularized:
@@ -245,6 +243,13 @@ class TestRegularized:
 
 
 class TestAsymptotics:
+    def test_laws_take_arrays(self):
+        # the delta family's head flips with the side: one batch per side
+        cfg, bc = FieldConfig(2, 1.0), SemitransparentBC(2.0, 0.0, 1.0, 0.5)
+        xs = [-0.4, 0.1, -3.0, 5.0]
+        for law in (small_x_asymptotic, large_x_asymptotic):
+            assert list(law(cfg, bc, xs)) == [law(cfg, bc, x) for x in xs]
+
     def test_small_x_vanishes_for_pure_delta(self):
         cfg = FieldConfig(3, 1.0)
         for x1 in (0.5, -0.5):

@@ -77,6 +77,7 @@ _CONSISTENCY_TOL = 1e-6
 # total: the parts' rounding, about 1e-16 of the larger, passes 1e-8 of it
 _MAX_CANCELLATION = 1e8
 _LAURENT_EPS = 1e-3
+_INFRARED_TOL = 1e-12  # massless d = 1 is finite where the coupling ratio is -1 to this
 
 
 def check_mass(m):
@@ -257,6 +258,17 @@ def gaussian_free_factor(d):
     return (4.0 * math.pi) ** (0.5 * d)
 
 
+def _mass_power(m, k, factor):
+    # m**k times factor, or a ParameterError naming m where it is past double range
+    try:
+        value = m ** k * factor
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ParameterError(f"the free term is past double range at m = {m!r}")
+    return value
+
+
 def free_term(cfg):
     r"""Constant bulk contribution, identical for every boundary condition.
 
@@ -275,9 +287,9 @@ def free_term(cfg):
         return 0.0
     denom = (4.0 * math.pi) ** (0.5 * (d + 1)) * math.gamma(0.5 * (d + 1))
     if d % 2 == 0:
-        return (-1.0) ** (d // 2) * math.pi * m ** (d - 1) / denom
+        return _mass_power(m, d - 1, (-1.0) ** (d // 2) * math.pi / denom)
     bracket = harmonic_number((d - 1) // 2) + 2.0 * math.log(2.0 * cfg.kappa / m)
-    return (-1.0) ** ((d - 1) // 2) * m ** (d - 1) * bracket / denom
+    return _mass_power(m, d - 1, (-1.0) ** ((d - 1) // 2) * bracket / denom)
 
 
 def _require_mass(cfg, name):
@@ -300,7 +312,8 @@ def _continued_free_term(cfg, u):
         ratio = math.gamma(q) * float(rgamma(p))
     except OverflowError:  # q > 171: both Gammas are past double range, their ratio is not
         ratio = math.exp(math.lgamma(q) - math.lgamma(p))
-    return m ** (d - 1) * (cfg.kappa / m) ** u * ratio / (2.0 ** (d + 1) * math.pi ** (0.5 * d))
+    return _mass_power(m, d - 1, (cfg.kappa / m) ** u * ratio
+                       / (2.0 ** (d + 1) * math.pi ** (0.5 * d)))
 
 
 def _checked_total(x1, u, free, total):
@@ -324,7 +337,7 @@ def _with_continued_free_term(cfg, us, planes):
 def _small_x_leading(d, m, ax):
     # the universal near-wall law at the distances ax, a float or an array
     if d == 1:
-        return -np.log(m * ax) / (2.0 * math.pi)
+        return -(math.log(m) + np.log(ax)) / (2.0 * math.pi)  # m|x1| may leave double range
     if d == 2:
         return 1.0 / (8.0 * math.pi * ax)
     return math.gamma(0.5 * (d - 1)) / ((4.0 * math.pi) ** (0.5 * (d + 1)) * ax ** (d - 1))
@@ -337,6 +350,19 @@ def _within_range(value, ax, what):
     if past.any():
         i = np.argwhere(past)[0][0]
         raise ParameterError(f"{what} is past double range at |x1| = {float(ax[i])!r}")
+    return value
+
+
+def _below_range(cfg, x1, plane):
+    # plane(x1) at the distances x1 (an array, one side) where 2m|x1| is a
+    # double; past it the plane term, below e^{-2m|x1|}, is 0.0
+    x1 = np.asarray(x1, dtype=float)
+    near = np.abs(x1) <= sys.float_info.max / (2.0 * cfg.m)
+    if near.all():
+        return plane(x1)
+    value = np.zeros(len(x1))
+    if near.any():
+        value[near] = plane(x1[near])
     return value
 
 
@@ -592,20 +618,22 @@ class ImageSum:
 
     def plane_term(self, cfg, x1):
         """Closed-form plane term at the distances ``x1``, a 1-D array of
-        points on one side (``m > 0``); one array of values."""
+        points on one side (``m > 0``); one array of values, 0.0 where
+        ``2m|x1|`` is past double range."""
         _require_mass(cfg, "plane_term")
-        return self._plane(cfg, np.asarray(x1, dtype=float), (0.0,))[:, 0]
+        return _below_range(cfg, x1, lambda near: self._plane(cfg, near, (0.0,))[:, 0])
 
     def plane_term_oracle(self, cfg, x1):
         """Proper-time integral of :meth:`plane_term` at the distances ``x1``, a
-        1-D array of points on one side (``m > 0``); one array of values.  The
+        1-D array of points on one side (``m > 0``); one array of values, 0.0
+        where ``2m|x1|`` is past double range.  The
         representation and its integrand, the erfcx image of :meth:`kernel`,
         share nothing with the Bessel closed form or the coupling integral;
         the quadrature rule (:func:`_log_trapezoid`, in ``s = ln tau``) is
         the one of the coupling integral."""
         _require_mass(cfg, "plane_term_oracle")
-        return self._proper_time_integral(cfg, np.abs(np.asarray(x1, dtype=float)), 0.0,
-                                          free=False)
+        return _below_range(cfg, x1, lambda near: self._proper_time_integral(
+            cfg, np.abs(near), 0.0, free=False))
 
     def regularized_polarization(self, cfg, x1, u):
         """Continuation of the regularized polarization to real ``u`` off the
@@ -680,17 +708,24 @@ class ImageSum:
             value = self.head * _small_x_leading(cfg.d, cfg.m, ax)
         return _within_range(value, ax, "the near-wall law")
 
+    def _coupling_ratio(self, m):
+        # head + sum weight/(2 (rate + m)); -1 at m = 0 where the images cancel the d = 1 log
+        ratio = self.head
+        for weight, rate in self.terms:
+            ratio += weight / (2.0 * (rate + m))
+        return ratio
+
     def large_x_asymptotic(self, cfg, x1):
         """Leading far-wall decay: the ``e^{-2m|x1|}/|x1|^{d/2}`` envelope
         times the ratio ``head + sum weight/(2 (rate + m))``."""
         _require_mass(cfg, "large_x_asymptotic")
         d, m, ax = cfg.d, cfg.m, np.abs(x1)
-        ratio = self.head
-        for weight, rate in self.terms:
-            ratio += weight / (2.0 * (rate + m))
-        envelope = m ** (0.5 * (d - 2)) / (2.0 * gaussian_free_factor(d)) * np.exp(-2.0 * m * ax)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            value = envelope / ax ** (0.5 * d) * ratio
+        # the envelope m^{(d-2)/2} e^{-2m|x1|} / (2 (4 pi)^{d/2} |x1|^{d/2}) in one
+        # exp: no factor leaves double range alone, and it underflows at large m|x1|
+        log_scale = 0.5 * (d - 2) * math.log(m) - math.log(2.0 * gaussian_free_factor(d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = np.exp(log_scale - 2.0 * m * ax - 0.5 * d * np.log(ax))
+            value = envelope * self._coupling_ratio(m)
         return _within_range(value, ax, "the far-wall law")
 
     def massless_value(self, cfg, x1):
@@ -698,15 +733,22 @@ class ImageSum:
 
         ``d >= 2``: ``A(d, x1) [head + sum weight |x1| e^w w^{d-2} Gamma(2-d, w)]``
         with ``w = 2 rate |x1|`` and ``A`` the near-wall law of
-        :meth:`small_x_asymptotic` at ``head = 1``.
+        :meth:`small_x_asymptotic` at ``head = 1``; 0.0 where ``|x1|^{d-1}``
+        overflows, and :class:`ParameterError` naming ``|x1|`` where the value does.
         ``d = 1``: ``[log(2 kappa |x1|) - EULER_GAMMA
-        - sum weight/(2 rate) e^w Gamma(0, w)] / (2 pi)``.  The infrared
-        obstructions of ``d = 1`` are the caller's to reject.
+        - sum weight/(2 rate) e^w Gamma(0, w)] / (2 pi)``, the zero-mass limit
+        less ``EULER_GAMMA/pi``; it exists (else :class:`InfraredDivergenceError`)
+        where the images cancel the head's infrared logarithm, i.e. where the
+        coupling ratio of :meth:`large_x_asymptotic` at ``m = 0`` is -1.
         """
         if cfg.m != 0.0:
             raise ParameterError("massless_value is the m = 0 entry point; got m > 0")
         d, ax = cfg.d, abs(x1)
         if d == 1:
+            ratio = self._coupling_ratio(0.0)
+            if not abs(1.0 + ratio) <= _INFRARED_TOL * (1.0 + abs(ratio)):
+                raise InfraredDivergenceError(f"massless d = 1 is infrared divergent: the "
+                                              f"coupling ratio at m = 0 is {ratio!r}, not -1")
             value = math.log(2.0 * cfg.kappa * ax) - EULER_GAMMA
             for weight, rate in self.terms:
                 value -= weight / (2.0 * rate) * upper_gamma_scaled(0, 2.0 * rate * ax)
@@ -714,4 +756,12 @@ class ImageSum:
         bracket = self.head
         for weight, rate in self.terms:
             bracket += weight * ax * upper_gamma_scaled(d - 2, 2.0 * rate * ax)
-        return _small_x_leading(d, 0.0, ax) * bracket
+        try:
+            value = _small_x_leading(d, 0.0, ax) * bracket
+        except OverflowError:  # |x1|^(d-1) is past double range: the law is below it
+            return 0.0
+        except ZeroDivisionError:  # |x1|^(d-1) underflowed to 0
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParameterError(f"the massless law is past double range at |x1| = {ax!r}")
+        return value

@@ -179,12 +179,16 @@ class SemitransparentBC(_Wall):
         return self.gamma_coupling / self.trace_sum
 
     def lambda_pm(self):
-        """Decay rates (Lambda_plus, Lambda_minus) of the ``beta != 0`` family."""
+        """Decay rates (Lambda_plus, Lambda_minus) of the ``beta != 0`` family, the roots
+        of ``beta L^2 - (alpha+sigma) L + gamma``: the larger in magnitude from their sum,
+        the other from their product ``gamma/beta``, so that neither cancels."""
         if self.is_delta_family:
             raise ParameterError("lambda_pm is defined only for beta != 0")
+        # the discriminant (alpha+sigma)^2 - 4 beta gamma is (alpha-sigma)^2 + 4
         root = math.hypot(self.alpha - self.sigma_param, 2.0)
-        half = 0.5 / self.beta
-        return self.trace_sum * half + root * abs(half), self.trace_sum * half - root * abs(half)
+        half = 0.5 * (self.trace_sum + math.copysign(root, self.trace_sum))
+        large, small = half / self.beta, self.gamma_coupling / half
+        return (large, small) if large > small else (small, large)
 
     def transfer_matrix(self):
         """The 2x2 jump relation ``omega * [[alpha, beta], [gamma, sigma]]``."""

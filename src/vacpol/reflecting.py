@@ -26,7 +26,6 @@ import math
 
 from . import core
 from .core import PolarizationValue, SpectrumReport, _per_side, _point_images
-from .errors import InfraredDivergenceError
 
 __all__ = [
     "free_term",
@@ -156,8 +155,8 @@ def large_x_asymptotic(cfg, bc, x1):
 def massless_value(cfg, bc, x1):
     r"""Massless limit of ``free + plane`` where it exists.
 
-    ``d = 1`` (needs both faces Dirichlet or strictly positive Robin,
-    Neumann is infrared divergent):
+    ``d = 1`` (the face of ``x1`` Dirichlet or strictly positive Robin; a
+    Neumann face is infrared divergent), the zero-mass limit less ``EULER_GAMMA/pi``:
 
         (1/2 pi) [log(2 kappa |x1|) - EULER_GAMMA + 2 e^{2b|x1|} Gamma(0, 2b|x1|)],
 
@@ -170,12 +169,6 @@ def massless_value(cfg, bc, x1):
     degenerates to ``+1`` (Neumann) and ``-1`` (Dirichlet).
     """
     value = _point_images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
-    if cfg.d == 1:
-        for name, b in bc.rates():
-            if b == 0.0:
-                raise InfraredDivergenceError(
-                    f"massless d = 1 with Neumann face {name} = 0 is infrared divergent"
-                )
     return PolarizationValue.build(0.0, value, _branch_label(cfg, bc, x1) + ", massless")
 
 

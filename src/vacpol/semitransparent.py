@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from . import core
 from .core import PolarizationValue, SpectrumReport, _per_side, _point_images, sign
-from .errors import InfraredDivergenceError
 
 __all__ = [
     "SpectrumReport",
@@ -161,9 +160,9 @@ def large_x_asymptotic(cfg, bc, x1):
 def massless_value(cfg, bc, x1):
     r"""Massless limit of ``free + plane`` where it exists.
 
-    ``d = 1`` requires the delta family with strictly positive effective
-    coupling (``beta != 0`` and the delta wall with ``gamma = 0`` are both
-    infrared divergent):
+    ``d = 1`` needs ``gamma != 0`` (else the images leave the infrared logarithm
+    uncancelled, see :meth:`vacpol.core.ImageSum.massless_value`); the value is
+    the zero-mass limit less ``EULER_GAMMA/pi``, for the delta family
 
         (1/2 pi) [log(2 kappa |x1|) - EULER_GAMMA
                   + (1 + L) e^{2 c |x1|} Gamma(0, 2 c |x1|)],  c = gamma/(alpha+sigma).
@@ -175,14 +174,4 @@ def massless_value(cfg, bc, x1):
     ``Gamma(2-d, 0)`` term carries a zero coefficient and is dropped.
     """
     value = _point_images(cfg, bc, x1).massless_value(cfg, x1)  # rejects m > 0 first
-    if cfg.d == 1:
-        if not bc.is_delta_family:
-            raise InfraredDivergenceError(
-                "massless d = 1 semitransparent theory is infrared divergent for beta != 0"
-            )
-        if bc.delta_ratio == 0.0:
-            raise InfraredDivergenceError(
-                "massless d = 1 delta family with gamma = 0 is infrared divergent "
-                "(Neumann-like)"
-            )
     return PolarizationValue.build(0.0, value, _branch_label(cfg, bc) + ", massless")

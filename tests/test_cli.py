@@ -426,3 +426,43 @@ def test_massive_profile_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+# the walls, masses, grids, dimensions and commands of the range sweep below
+SWEEP_WALLS = (
+    ("--b-plus", "2", "--b-minus", "dirichlet"),
+    ("--b-plus", "0", "--b-minus", "0"),
+    ("--geometry", "semitransparent", "--gamma", "1.5"),
+    ("--geometry", "semitransparent", "--beta", "1"),
+    ("--geometry", "semitransparent", "--alpha", "2", "--beta", "1", "--gamma", "1",
+     "--sigma", "1"),
+)
+SWEEP_MASSES = ("0", "1e-300", "1e-8", "1", "1e5", "1e70", "1e300")
+SWEEP_GRIDS = (("1e-40", "1e-30"), ("1e-200", "1e-160"), ("1e-3", "10"), ("1e10", "1e20"),
+               ("1e100", "1e200"))
+
+
+def test_range_sweep_exits_with_a_documented_code():
+    # every profile and asymptotics call from the near-double-underflow to the
+    # near-overflow corner of (m, |x1|, d) ends in a value or a typed error:
+    # exit 0, 2, 3 or 4, no uncaught exception and no RuntimeWarning
+    import contextlib
+    import io
+    import itertools
+    import warnings
+
+    failures = []
+    for wall, m, (x_min, x_max), d, command in itertools.product(
+            SWEEP_WALLS, SWEEP_MASSES, SWEEP_GRIDS, range(1, 12), ("profile", "asymptotics")):
+        argv = [command, f"--d={d}", f"--m={m}", f"--x-min={x_min}", f"--x-max={x_max}",
+                "--points=2", *wall]
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure reported
+                code = f"{type(exc).__name__}: {exc}"
+        if code not in (0, 2, 3, 4):
+            failures.append(f"{' '.join(argv)} -> {code}")
+    assert not failures, f"{len(failures)} calls:\n" + "\n".join(failures[:20])

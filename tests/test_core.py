@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -171,3 +172,146 @@ def test_renormalize_consistency_still_rejects_relative_mismatch(monkeypatch, mo
                         lambda cfg, us, planes: [v * (1.0 + 1e-5) for v in exact(cfg, us, planes)])
     with pytest.raises(NumericalFailureError):
         mod.renormalize_at_zero(FieldConfig(d, 1.0), bc, 0.05)
+
+
+def _d1_walls():
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
+
+    return {
+        "dirichlet": (rf, ReflectingBC.dirichlet(), 0.7),
+        "robin_1": (rf, ReflectingBC.robin(1.0), 0.7),
+        "delta_1": (st, SemitransparentBC.delta(1.0), 0.7),
+        "skew_delta": (st, SemitransparentBC(2.0, 0.0, 1.0, 0.5), -0.7),
+        "general": (st, SemitransparentBC(2.0, 1.0, 1.0, 1.0, cmath.exp(0.6j)), 1.0),
+        "weak_gamma_delta_prime": (st, SemitransparentBC(1.0, 1.0, 1e-3, 1.0 + 1e-3), 0.7),
+        "dirichlet_face": (rf, ReflectingBC(0.0, DIRICHLET), -0.5),
+    }
+
+
+def _d1_divergent_walls():
+    from vacpol import reflecting as rf
+    from vacpol import semitransparent as st
+    from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
+
+    return {
+        "neumann": (rf, ReflectingBC.neumann(), 0.5),
+        "neumann_face": (rf, ReflectingBC(0.0, DIRICHLET), 0.5),
+        "delta_prime": (st, SemitransparentBC.delta_prime(1.0), 0.5),
+        "free": (st, SemitransparentBC.free(), 0.5),
+        "skew_gamma_0": (st, SemitransparentBC(2.0, 0.0, 0.0, 0.5), 0.5),
+    }
+
+
+class TestInfraredRule:
+    """Massless d = 1 is decided once, by the record: finite exactly where the
+    coupling ratio head + sum weight/(2 rate) is -1."""
+
+    @pytest.mark.parametrize("name", list(_d1_walls()))
+    def test_value_is_the_zero_mass_limit_less_euler_gamma_over_pi(self, name):
+        from vacpol.specialfns import EULER_GAMMA
+
+        mod, bc, x1 = _d1_walls()[name]
+        value = mod.massless_value(FieldConfig(1, 0.0), bc, x1).total
+        cfg = FieldConfig(1, 1e-10)
+        limit = mod.free_term(cfg) + mod.plane_term(cfg, bc, x1) - EULER_GAMMA / math.pi
+        assert abs(value - limit) <= 1e-12 * max(1.0, abs(limit))
+
+    def test_dirichlet_face_is_the_dirichlet_value(self):
+        from vacpol import reflecting as rf
+        from vacpol.heatkernel import DIRICHLET, ReflectingBC
+
+        cfg = FieldConfig(1, 0.0)
+        value = rf.massless_value(cfg, ReflectingBC(0.0, DIRICHLET), -0.5).total
+        assert value == rf.massless_value(cfg, ReflectingBC.dirichlet(), -0.5).total
+        assert value == pytest.approx(-0.0918667263, abs=1e-10)
+
+    @pytest.mark.parametrize("name", list(_d1_divergent_walls()))
+    def test_uncancelled_logarithm_raises(self, name):
+        from vacpol.errors import InfraredDivergenceError
+
+        mod, bc, x1 = _d1_divergent_walls()[name]
+        with pytest.raises(InfraredDivergenceError, match="coupling ratio"):
+            mod.massless_value(FieldConfig(1, 0.0), bc, x1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_weak_coupling_delta_prime_is_finite(self, d):
+        # gamma = 1e-20: Lambda_minus is 5e-21, not a cancelled 0
+        from vacpol import semitransparent as st
+        from vacpol.heatkernel import SemitransparentBC
+
+        bc = SemitransparentBC(1.0, 1.0, 1e-20, 1.0)
+        assert bc.lambda_pm()[1] == pytest.approx(5e-21, rel=1e-15)
+        for x1 in (-0.7, 0.05, 3.0):
+            assert math.isfinite(st.massless_value(FieldConfig(d, 0.0), bc, x1).total)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (2.0, 1.0), (3.0, 2.0), (1.0, -1.0),
+                                         (0.5, -3.0)])
+def test_lambda_pm_matches_50_digit_roots(alpha, beta):
+    # the roots of beta L^2 - (alpha+sigma) L + gamma at the wall's own floats,
+    # down to the weak couplings where a difference of the two would cancel
+    import mpmath
+
+    from vacpol.heatkernel import SemitransparentBC
+
+    for exponent in range(3, 21):
+        gamma = 10.0 ** -exponent
+        bc = SemitransparentBC(alpha, beta, gamma, (1.0 + beta * gamma) / alpha)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpf(beta), -(mpmath.mpf(alpha) + mpmath.mpf(bc.sigma_param))
+            root = mpmath.sqrt(b * b - 4 * a * gamma)
+            exact = sorted(((-b + root) / (2 * a), (-b - root) / (2 * a)), reverse=True)
+            for got, want in zip(bc.lambda_pm(), exact):
+                assert abs(got - want) <= 1e-15 * abs(want), (gamma, got, want)
+
+
+class TestPastDoubleRange:
+    def test_massless_law_names_the_distance(self):
+        from vacpol import reflecting as rf
+        from vacpol.heatkernel import ReflectingBC
+
+        with pytest.raises(ParameterError, match=r"massless law .* \|x1\| = 1e-40$"):
+            rf.massless_value(FieldConfig(11, 0.0), ReflectingBC.robin(2.0), 1e-40)
+        with pytest.raises(ParameterError, match=r"\|x1\| = 1e-32$"):
+            rf.massless_value(FieldConfig(11, 0.0), ReflectingBC.dirichlet(), 1e-32)
+
+    @pytest.mark.parametrize("d", [3, 11])
+    def test_massless_law_underflows_to_zero(self, d):
+        # |x1|^(d-1) overflows
+        from vacpol import reflecting as rf
+        from vacpol.heatkernel import ReflectingBC
+
+        assert rf.massless_value(FieldConfig(d, 0.0), ReflectingBC.robin(2.0), 1e200).total == 0.0
+
+    @pytest.mark.parametrize("d", [6, 11])
+    def test_free_terms_name_the_mass(self, d):
+        from vacpol.core import _continued_free_term, free_term
+
+        cfg = FieldConfig(d, 1e70)
+        with pytest.raises(ParameterError, match="at m = 1e[+]70$"):
+            free_term(cfg)
+        with pytest.raises(ParameterError, match="at m = 1e[+]70$"):
+            _continued_free_term(cfg, 0.5)
+
+    def test_far_wall_law_underflows_at_a_huge_mass(self):
+        from vacpol import reflecting as rf
+        from vacpol.heatkernel import ReflectingBC
+
+        cfg = FieldConfig(11, 1e70)
+        assert list(rf.large_x_asymptotic(cfg, ReflectingBC.robin(2.0), [0.1, 5.0])) == [0.0, 0.0]
+
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_plane_term_is_zero_where_2m_x1_overflows(self, oracle):
+        from vacpol import reflecting as rf
+        from vacpol import semitransparent as st
+        from vacpol.heatkernel import ReflectingBC, SemitransparentBC
+
+        cfg, xs = FieldConfig(1, 1e300), [-1e200, -1e10, 1e-300, 1e10, 1e200]
+        for mod, bc in ((rf, ReflectingBC.neumann()), (rf, ReflectingBC(2.0, 0.5)),
+                        (st, SemitransparentBC(2.0, 1.0, 1.0, 1.0))):
+            plane = mod.plane_term_oracle if oracle else mod.plane_term
+            values = plane(cfg, bc, xs)
+            assert list(values[[0, 1, 3, 4]]) == [0.0] * 4
+            assert values[2] == plane(cfg, bc, 1e-300)

@@ -27,21 +27,14 @@ import numpy as np
 
 from . import reflecting as rf
 from . import semitransparent as st
-from .core import FieldConfig
+from .core import FieldConfig, sign
 from .errors import (
     InfraredDivergenceError,
     NumericalFailureError,
     ParameterError,
     VacpolError,
 )
-from .heatkernel import (
-    DIRICHLET,
-    HeatQuery,
-    ReflectingBC,
-    SemitransparentBC,
-    reflecting_kernel,
-    semitransparent_kernel,
-)
+from .heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC, _check_tau, wall_kernel
 from .validation import SUITES, run_all, run_suite
 
 EXIT_OK = 0
@@ -255,18 +248,24 @@ def cmd_spectrum(args):
 
 def cmd_heat_kernel(args):
     bc = _make_bc(args)
+    # every point of the table is checked before the wall's positivity
+    for tau in args.tau:
+        _check_tau(tau)
+    for x in args.x:
+        sign(x, "x1")
+    for y in args.y:
+        sign(y, "y1")
+    kernel = wall_kernel(bc, args.m)
     rows = []
     is_semi = args.geometry == "semitransparent"
     for tau in args.tau:
         for x in args.x:
             for y in args.y:
-                q = HeatQuery(tau, x, y)
+                value = kernel(tau, x, y)
                 if is_semi:
-                    value = semitransparent_kernel(q, bc, args.m)
                     rows.append({"tau": tau, "x1": x, "y1": y,
                                  "re": value.real, "im": value.imag})
                 else:
-                    value = reflecting_kernel(q, bc, args.m)
                     rows.append({"tau": tau, "x1": x, "y1": y, "value": value})
     columns = ["tau", "x1", "y1"] + (["re", "im"] if is_semi else ["value"])
     meta = _meta_from(args, ("geometry", "m"))

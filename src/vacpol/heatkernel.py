@@ -18,8 +18,13 @@ A mass only multiplies every kernel by ``exp(-m**2 tau)``.
 Each boundary condition maps a pair of points to the
 :class:`~vacpol.core.ImageSum` whose closed-form ``kernel`` every production
 kernel here evaluates (at coincident points the same record gives the plane
-term).  The ``w``-integral form of the Robin kernel and the eigenfunction
-expansion are retained as independent oracles.
+term).  The record depends on the points only through their sides, so
+:func:`wall_kernel` checks a wall's positivity once and keeps one record per
+side pair; a table of values (``vacpol heat-kernel``, the ``validation``
+checks) is evaluated through it, and :func:`reflecting_kernel` /
+:func:`semitransparent_kernel` evaluate one value from the same record.  The
+``w``-integral form of the Robin kernel and the eigenfunction expansion are
+retained as independent oracles.
 """
 
 import math
@@ -39,6 +44,7 @@ __all__ = [
     "reflecting_kernel",
     "spectral_oracle_robin",
     "semitransparent_kernel",
+    "wall_kernel",
 ]
 
 #: Marker for a Dirichlet face (the ``b -> +inf`` limit: a mirror image of weight -1).
@@ -78,10 +84,16 @@ class HeatQuery:
     y1: float
 
     def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
+        _check_tau(self.tau)
         sign(self.x1, "x1")
         sign(self.y1, "y1")
+
+
+def _check_tau(tau):
+    """Entry check of a proper time: finite and ``> 0``, else a
+    :class:`ParameterError` naming ``tau``."""
+    if not (tau > 0.0 and math.isfinite(tau)):
+        raise ParameterError(f"tau must be finite and > 0, got {tau}")
 
 
 @dataclass(frozen=True)
@@ -297,11 +309,37 @@ def robin_half_line_kernel_wform(q, b, m=0.0):
     return math.exp(-m * m * tau) * value
 
 
+def wall_kernel(bc, m=0.0):
+    """The heat kernel of the wall ``bc`` at mass ``m``, as ``(tau, x1, y1) -> value``.
+
+    Positivity is checked once, here.  :meth:`ReflectingBC.images` and
+    :meth:`SemitransparentBC.images` depend on the points only through their
+    sides, so each of the (at most four) side pairs gets its
+    :class:`~vacpol.core.ImageSum` on first use and keeps it; every value is
+    that record's ``kernel``: a float, or a complex number where the record's
+    weights are complex (a semitransparent wall across it).  Each point is
+    checked as :class:`HeatQuery` checks it.
+    """
+    bc.check_positive(m)
+    records = {}
+
+    def kernel(tau, x1, y1):
+        _check_tau(tau)
+        sides = (sign(x1, "x1"), sign(y1, "y1"))
+        images = records.get(sides)
+        if images is None:
+            images = records[sides] = bc.images(x1, y1)
+        return images.kernel(tau, x1, y1, m)
+
+    return kernel
+
+
 def reflecting_kernel(q, bc, m=0.0):
     """Heat kernel of the reflecting wall; exactly 0 across the wall.
 
     On one side it is the half-line kernel of the face of that side
-    (:meth:`ReflectingBC.images`), positivity checked.
+    (:meth:`ReflectingBC.images`), positivity checked: the record and kernel
+    :func:`wall_kernel` keeps for the side pair of ``q``.
     """
     bc.check_positive(m)
     return bc.images(q.x1, q.y1).kernel(q.tau, q.x1, q.y1, m)
@@ -342,7 +380,8 @@ def spectral_oracle_robin(q, b, m=0.0):
 def semitransparent_kernel(q, bc, m=0.0):
     r"""Heat kernel of the semitransparent wall (complex valued in general).
 
-    The kernel of :meth:`SemitransparentBC.images`, positivity checked.
+    The kernel of :meth:`SemitransparentBC.images`, positivity checked: the
+    record and kernel :func:`wall_kernel` keeps for the side pair of ``q``.
     Hermitian (``K(x, y) = conj(K(y, x))``) and real whenever
     ``Im omega = 0`` or both points are on the same side.
     """

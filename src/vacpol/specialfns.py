@@ -29,6 +29,7 @@ All functions are pure and stateless; concurrent calls are safe.
 """
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import erfcx as _erfcx
@@ -58,6 +59,9 @@ _HANKEL_ARG = 1e9
 
 # A small argument at which kve is still finite for every order below 1/2.
 _KVE_ANCHOR = 1e-300
+
+# The continued fraction's stop: a step within one ulp of 1.
+_EPS = sys.float_info.epsilon
 
 erf = math.erf
 erfc = math.erfc
@@ -226,7 +230,7 @@ def _upper_gamma_cf(a, z):
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        if abs(delta - 1.0) <= _EPS:
             return h
     raise ParameterError(f"incomplete-Gamma continued fraction stalled at a={a}, z={z}")
 

@@ -147,9 +147,11 @@ def _edge_extrapolate(f, h):
     return value, deriv
 
 
-def _kernel_on_line(kernel, bc, m):
-    """``(tau, x, y) -> Re kernel(HeatQuery(tau, x, y), bc, m)``."""
-    return lambda tau, x, y: kernel(hk.HeatQuery(tau, x, y), bc, m).real
+def _kernel_on_line(bc, m):
+    """``(tau, x, y) -> Re K(tau; x, y)`` of the wall ``bc``, through one
+    :func:`~vacpol.heatkernel.wall_kernel`."""
+    kernel = hk.wall_kernel(bc, m)
+    return lambda tau, x, y: kernel(tau, x, y).real
 
 
 def _semigroup_deviation(kernel, tau1, tau2, x, y):
@@ -185,8 +187,8 @@ def check_heatkernel():
     results.append(_check("kernel.robin_vs_spectral", dev_s, 1e-7))
 
     dev = 0.0
-    rk = _kernel_on_line(hk.reflecting_kernel, hk.ReflectingBC(b_plus=1.0, b_minus=-0.3), 0.5)
-    sk = _kernel_on_line(hk.semitransparent_kernel, hk.SemitransparentBC(1.0, 0.5, -0.4, 0.8), 0.5)
+    rk = _kernel_on_line(hk.ReflectingBC(b_plus=1.0, b_minus=-0.3), 0.5)
+    sk = _kernel_on_line(hk.SemitransparentBC(1.0, 0.5, -0.4, 0.8), 0.5)
     for tau1, tau2 in ((0.5, 0.5), (0.3, 0.7)):
         dev = max(dev, _semigroup_deviation(rk, tau1, tau2, 0.8, 1.3))
         dev = max(dev, _semigroup_deviation(sk, tau1, tau2, 0.8, -1.3))
@@ -196,13 +198,13 @@ def check_heatkernel():
     dev = 0.0
     h = 1e-4
     sbc = hk.SemitransparentBC(1.2, 0.5, 0.4, 1.0)
-    for kernel, bc, tau, x, y, m in (
-        (hk.robin_half_line_kernel, 0.8, 0.7, 1.1, 0.4, 0.5),
-        (hk.robin_half_line_kernel, -0.2, 0.4, 0.6, 1.5, 1.0),
-        (hk.semitransparent_kernel, sbc, 0.7, 1.1, 0.4, 0.5),
-        (hk.semitransparent_kernel, sbc, 0.6, -0.8, 0.9, 0.5),
+    for bc, tau, x, y, m in (
+        (hk.ReflectingBC.robin(0.8), 0.7, 1.1, 0.4, 0.5),
+        (hk.ReflectingBC.robin(-0.2), 0.4, 0.6, 1.5, 1.0),
+        (sbc, 0.7, 1.1, 0.4, 0.5),
+        (sbc, 0.6, -0.8, 0.9, 0.5),
     ):
-        k = _kernel_on_line(kernel, bc, m)
+        k = _kernel_on_line(bc, m)
         dtau = (k(tau + h, x, y) - k(tau - h, x, y)) / (2.0 * h)
         dxx = (k(tau, x + h, y) - 2.0 * k(tau, x, y) + k(tau, x - h, y)) / (h * h)
         resid = dtau - dxx + m * m * k(tau, x, y)
@@ -215,8 +217,8 @@ def check_heatkernel():
     dev = 0.0
     h = 1e-4
     for b, tau, y, m in ((0.7, 0.6, 0.9, 0.0), (-0.4, 0.8, 1.2, 0.5), (3.0, 0.3, 0.5, 1.0)):
-        k = lambda xx: hk.robin_half_line_kernel(hk.HeatQuery(tau, xx, y), b, m)
-        val0, der0 = _edge_extrapolate(k, h)
+        kernel = hk.wall_kernel(hk.ReflectingBC.robin(b), m)
+        val0, der0 = _edge_extrapolate(lambda xx: kernel(tau, xx, y), h)
         resid = -der0 + b * val0
         dev = max(dev, abs(resid) / max(abs(der0), 1.0))
     results.append(_check("kernel.robin_boundary_condition", dev, 1e-6))
@@ -224,10 +226,9 @@ def check_heatkernel():
     # Neumann conservation: int_0^inf K(tau; x, y) dy = 1 at b = 0, m = 0
     spec = QuadSpec(abs_tol=1e-12, rel_tol=1e-11, max_subdivisions=400)
     dev = 0.0
+    kernel = hk.wall_kernel(hk.ReflectingBC.neumann())
     for tau, x in ((0.5, 0.7), (1.5, 2.0)):
-        total, _ = integrate_semi_infinite(
-            lambda y: hk.robin_half_line_kernel(hk.HeatQuery(tau, x, y + 1e-14), 0.0, 0.0), spec
-        )
+        total, _ = integrate_semi_infinite(lambda y: kernel(tau, x, y + 1e-14), spec)
         dev = max(dev, abs(total - 1.0))
     results.append(_check("kernel.neumann_conservation", dev, 1e-8))
 
@@ -243,7 +244,8 @@ def check_heatkernel():
     ):
         tau, y = 0.6, 0.9
         h = 1e-4
-        k = lambda xx: hk.semitransparent_kernel(hk.HeatQuery(tau, xx, y), bc, m)
+        kernel = hk.wall_kernel(bc, m)
+        k = lambda xx: kernel(tau, xx, y)
         val_p, der_p = _edge_extrapolate(k, h)
         val_m, der_m = _edge_extrapolate(k, -h)
         (t11, t12), (t21, t22) = bc.transfer_matrix()
@@ -253,15 +255,9 @@ def check_heatkernel():
 
     # Hermiticity with genuinely complex omega
     dev = 0.0
-    bc = hk.SemitransparentBC(1.0, 0.4, 0.3, (1.0 + 0.4 * 0.3), omega)
+    kernel = hk.wall_kernel(hk.SemitransparentBC(1.0, 0.4, 0.3, (1.0 + 0.4 * 0.3), omega), 0.5)
     for x, y in ((0.5, -0.8), (-1.1, 0.3), (0.7, 0.9)):
-        q = hk.HeatQuery(0.7, x, y)
-        qr = hk.HeatQuery(0.7, y, x)
-        dev = max(
-            dev,
-            abs(hk.semitransparent_kernel(q, bc, 0.5)
-                - hk.semitransparent_kernel(qr, bc, 0.5).conjugate()),
-        )
+        dev = max(dev, abs(kernel(0.7, x, y) - kernel(0.7, y, x).conjugate()))
     results.append(_check("kernel.hermitian", dev, 1e-10))
 
     # mass shift K_m = e^{-m^2 tau} K_0, exact by construction

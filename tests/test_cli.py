@@ -138,6 +138,19 @@ class TestProfile:
         assert bad.returncode == 2
 
 
+    def test_massless_far_wall_continued_fraction_exit_0(self, run_cli):
+        # e^w Gamma(0, w) at w = 2 Lambda |x1| ~ 5e100: the incomplete-Gamma
+        # continued fraction stalled there one ulp from convergence (exit 2)
+        out = run_cli("profile", "--d", "1", "--m", "0", "--geometry", "semitransparent",
+                      "--alpha", "2", "--beta", "1", "--gamma", "1", "--sigma", "1",
+                      "--x-min", "1e100", "--x-max", "1e200", "--points", "2")
+        assert out.returncode == 0, out.stderr
+        _, rows = parse_csv(out.stdout)
+        # the images are O(1/|x1|) there: the plane term is (log(2|x1|) - EULER_GAMMA)/(2 pi)
+        expected = (math.log(2.0) + 100.0 * math.log(10.0) - 0.5772156649015329) / (2.0 * math.pi)
+        assert float(rows[0]["plane"]) == pytest.approx(expected, rel=1e-14)
+
+
 class TestSpectrum:
     def test_reflecting_bound_state(self, run_cli):
         out = run_cli("spectrum", "--geometry", "reflecting", "--b-plus", "-0.5",
@@ -207,6 +220,43 @@ class TestHeatKernel:
         header, rows = parse_csv(out.stdout)
         assert header == ["tau", "x1", "y1", "re", "im"]
         assert len(rows) == 4
+
+    @pytest.mark.parametrize("points, field", [
+        (["--tau=0.5,2,-1", "--x=0.7,-0.2", "--y=0.3"], "tau"),
+        (["--tau=0.5", "--x=0.7,-0.2,nan", "--y=0.3"], "x1"),
+        (["--tau=0.5,2", "--x=0.7", "--y=0.3,-1,0"], "y1"),
+    ])
+    def test_bad_point_is_named_before_the_wall(self, run_cli, points, field):
+        # a wall that violates positivity (b_plus = -5 at m = 1) and one bad
+        # point late in the table: every point is checked first
+        out = run_cli("heat-kernel", "--b-plus=-5", "--m=1", *points)
+        assert out.returncode == 2
+        assert f": {field} " in out.stderr
+        assert "b_plus" not in out.stderr
+
+    @pytest.mark.parametrize("wall", [
+        ["--b-plus=1.5", "--b-minus=-0.4", "--m=0.5"],
+        ["--geometry=semitransparent", "--alpha=2", "--beta=1", "--gamma=1", "--sigma=1",
+         "--omega-re=0.8", "--omega-im=0.6"],
+    ])
+    def test_table_builds_one_record_per_side_pair(self, run_cli, monkeypatch, wall):
+        # a 36-value table over both sides maps the wall to an ImageSum at
+        # most once per (sign x1, sign y1)
+        calls = []
+
+        def counted(images):
+            def wrapper(self, x1, y1):
+                calls.append((x1, y1))
+                return images(self, x1, y1)
+            return wrapper
+
+        for cls in (cli.ReflectingBC, cli.SemitransparentBC):
+            monkeypatch.setattr(cls, "images", counted(cls.images))
+        out = run_cli("heat-kernel", *wall, "--tau=0.1,1,2", "--x=-1,-0.5,0.5,1",
+                      "--y=-2,0.3,2", "--output=json")
+        assert out.returncode == 0, out.stderr
+        assert len(json.loads(out.stdout)["rows"]) == 36
+        assert len(calls) <= 4
 
 
 class TestValidate:

@@ -20,6 +20,7 @@ from vacpol.heatkernel import (
     robin_half_line_kernel_wform,
     semitransparent_kernel,
     spectral_oracle_robin,
+    wall_kernel,
 )
 from vacpol.quadrature import QuadSpec, integrate_semi_infinite
 from vacpol.validation import check_heatkernel
@@ -274,6 +275,33 @@ class TestSemitransparent:
             semitransparent_kernel(
                 HeatQuery(1.0, 1.0, 1.0), SemitransparentBC.delta(-3.0), 1.0
             )
+
+
+class TestWallKernel:
+    def test_positivity_is_checked_once_up_front(self):
+        with pytest.raises(ParameterError, match="b_plus"):
+            wall_kernel(ReflectingBC(-5.0, 0.0), 1.0)
+        with pytest.raises(ParameterError, match="Lambda_minus"):
+            wall_kernel(SemitransparentBC.delta_prime(-1.5), 0.0)
+
+    @pytest.mark.parametrize("field, args", [
+        ("tau", (0.0, 1.0, 1.0)), ("tau", (math.nan, 1.0, 1.0)), ("tau", (math.inf, 1.0, 1.0)),
+        ("x1", (1.0, 0.0, 1.0)), ("x1", (1.0, math.nan, 1.0)), ("y1", (1.0, 1.0, -math.inf)),
+    ])
+    def test_each_point_is_checked(self, field, args):
+        kernel = wall_kernel(SemitransparentBC(1.0, 0.4, 0.3, 1.12, OMEGA), 0.5)
+        kernel(1.0, 1.0, 1.0)  # the record of this side pair exists
+        with pytest.raises(ParameterError, match=f"^{field} "):
+            kernel(*args)
+
+    def test_value_types(self):
+        # the one-value kernels: real for a reflecting wall, complex for a
+        # semitransparent one, on one side as across the wall
+        for one, bc, kind in (
+            (reflecting_kernel, ReflectingBC.robin(2.0), float),
+            (semitransparent_kernel, SemitransparentBC.delta(1.0), complex),
+        ):
+            assert {type(one(HeatQuery(0.5, 0.7, y), bc, 0.5)) for y in (0.3, -0.3)} == {kind}
 
 
 @pytest.mark.parametrize("m", [-1.0, math.nan, math.inf])

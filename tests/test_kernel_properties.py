@@ -23,6 +23,7 @@ from vacpol.heatkernel import (
     SemitransparentBC,
     reflecting_kernel,
     semitransparent_kernel,
+    wall_kernel,
 )
 
 FAST = settings(max_examples=200, deadline=100)
@@ -86,6 +87,33 @@ faces = st.one_of(st.just(DIRICHLET), st.floats(-0.9, 20.0))
 def test_reflecting_kernel_vanishes_across_the_wall(b_plus, b_minus, tau, x, y, side, m):
     q = HeatQuery(tau, side * x, -side * y)
     assert reflecting_kernel(q, ReflectingBC(b_plus, b_minus), m) == 0.0
+
+
+@st.composite
+def kernel_walls(draw):
+    """A wall of either family with a mass that keeps it positive; the faces
+    and rates reach bound states (a negative rate above ``-m``)."""
+    if draw(st.booleans()):
+        bc = draw(unitary_walls())
+        return bc, _admissible_mass(bc) + draw(st.floats(0.0, 1.0))
+    return ReflectingBC(draw(faces), draw(faces)), draw(st.floats(1.0, 3.0))
+
+
+@FAST
+@given(kernel_walls(), st.lists(st.tuples(taus, coordinates, sides, coordinates, sides),
+                                min_size=1, max_size=12))
+def test_table_values_match_one_value_calls(wall, points):
+    # one wall_kernel over a table, reusing one ImageSum per side pair, gives
+    # bit for bit the per-value public kernel and a fresh record of the pair
+    bc, m = wall
+    kernel = wall_kernel(bc, m)
+    one = semitransparent_kernel if isinstance(bc, SemitransparentBC) else reflecting_kernel
+    for tau, x, sx, y, sy in points:
+        q = HeatQuery(tau, sx * x, sy * y)
+        value = kernel(q.tau, q.x1, q.y1)
+        assert repr(value) == repr(bc.images(q.x1, q.y1).kernel(tau, q.x1, q.y1, m))
+        expected = one(q, bc, m)
+        assert repr(type(expected)(value)) == repr(expected)
 
 
 def _image_reference(rate, s, tau, m):

@@ -197,6 +197,18 @@ class TestUpperGamma:
     def test_scaled_n0_large_no_overflow(self):
         assert upper_gamma_scaled(0, 1e5) == pytest.approx(1e-5, rel=1e-3)
 
+    @pytest.mark.parametrize("n, w", [(0, 5.23606797749979e100), (0, 1e300), (4, 3.7e150),
+                                      (10, 2.5e20)])
+    def test_scaled_huge_argument_against_mpmath(self, n, w):
+        # the continued fraction stops within one ulp of 1: at w ~ 5e100 its
+        # step sat one ulp from 1, below a stop at 1e-16, until it gave up
+        import mpmath
+
+        with mpmath.workdps(50):
+            z = mpmath.mpf(w)
+            ref = mpmath.exp(z) * z**n * mpmath.gammainc(-n, z)
+        assert upper_gamma_scaled(n, w) == pytest.approx(float(ref), rel=1e-15)
+
     @pytest.mark.parametrize("w", [0.0, -1.0, math.nan])
     def test_scaled_n0_needs_positive_w(self, w):
         # exp(w) E_1(w) diverges logarithmically at w = 0

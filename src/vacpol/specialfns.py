@@ -3,8 +3,10 @@ r"""Special functions for the vacuum-polarization formulas.
 Everything downstream is expressed through four ingredients:
 
 * the weighted modified Bessel function of the second kind
-  ``w**nu * K_nu(w)`` (finite and nonzero at ``w = 0`` for ``nu > 0``),
-  from ``scipy.special.kve`` with closed forms where ``kve`` does not serve;
+  ``w**nu * K_nu(w)`` (finite and nonzero at ``w = 0`` for ``nu > 0``): at
+  whole and half-integer orders from ``scipy.special.k0e`` / ``k1e`` or the
+  closed half orders and an upward recurrence, at every other order from
+  ``scipy.special.kve``, with closed forms where neither serves;
 * the upper incomplete Gamma function ``Gamma(a, z)`` for ``a <= 2``,
   including negative integer ``a``, from ``scipy.special`` (``exp1``,
   ``expn``, ``gammaincc``) at small arguments and a continued fraction at
@@ -33,7 +35,7 @@ import sys
 
 import numpy as np
 from scipy.special import erfcx as _erfcx
-from scipy.special import exp1, expn, exprel, gammaincc, kve
+from scipy.special import exp1, expn, exprel, gammaincc, k0e, k1e, kve
 
 from .errors import ParameterError
 
@@ -59,6 +61,9 @@ _HANKEL_ARG = 1e9
 
 # A small argument at which kve is still finite for every order below 1/2.
 _KVE_ANCHOR = 1e-300
+
+# F(1/2, w) e^w = w^(1/2) K_(1/2)(w) e^w, the same at every w
+_SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 
 # The continued fraction's stop: a step within one ulp of 1.
 _EPS = sys.float_info.epsilon
@@ -102,8 +107,54 @@ def _small_w_scaled(nu, w):
     return lead * (1.0 - w * w / (4.0 * nu - 4.0)) if nu > 1.0 else lead
 
 
+def _exact_order_scaled(order, w):
+    # e^w w^n K_n(w) over the array w for a whole or half-integer n = order >= 0:
+    # k0e and k1e, or the closed half orders (DLMF 10.39.2), then the upward
+    # recurrence F(n+1) = 2n F(n) + w^2 F(n-1) (DLMF 10.29.1), whose terms are
+    # all positive, so no step cancels.  w (w F) does not overflow where w^2
+    # alone would.  inf or nan where k1e or k0e fail at tiny w, or past range.
+    if order == 0.0:
+        return k0e(w)
+    if order == 0.5:
+        return np.full(w.shape, _SQRT_HALF_PI)
+    if order.is_integer():
+        f1, n = w * k1e(w), 1.0
+        if order == 1.0:
+            return f1
+        f0 = k0e(w)
+    else:
+        f0, f1, n = np.full(w.shape, _SQRT_HALF_PI), _SQRT_HALF_PI * (1.0 + w), 1.5
+    while n < order:
+        f0, f1 = f1, 2.0 * n * f1 + w * (w * f0)
+        n += 1.0
+    return f1
+
+
 def _k_weighted_scaled(nu, w):
-    # e^w w^nu K_nu(w) over the array w, K even in nu; inf past double range
+    # e^w w^nu K_nu(w) over the array w, K even in nu; inf past double range.
+    # Whole and half-integer orders take the recurrence where it is finite,
+    # and the kve route below where it is not
+    order = abs(float(nu))
+    if not (2.0 * order).is_integer():
+        return _kve_weighted_scaled(nu, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _exact_order_scaled(order, w)
+        if nu < 0.0:
+            # the weight w^(2 nu) in two factors: as one power it underflows
+            # where the product need not
+            half = w**nu
+            value = value * half * half
+        rest = ~np.isfinite(value)
+    if order == 0.0:
+        # k0e halves w, which rounds where w is subnormal
+        rest |= w < sys.float_info.min
+    if rest.any():
+        value[rest] = _kve_weighted_scaled(nu, w[rest])
+    return value
+
+
+def _kve_weighted_scaled(nu, w):
+    # e^w w^nu K_nu(w) over the array w from kve, K even in nu; inf past double range
     order = abs(nu)
     with np.errstate(over="ignore", invalid="ignore"):
         k = kve(order, w)
@@ -123,7 +174,7 @@ def _k_weighted_scaled(nu, w):
             mu = 4.0 * nu * nu
             z = 8.0 * wh
             series = 1.0 + (mu - 1.0) / z + (mu - 1.0) * (mu - 9.0) / (2.0 * z * z)
-            value[hankel] = math.sqrt(0.5 * math.pi) * series * wh ** (nu - 0.5)
+            value[hankel] = _SQRT_HALF_PI * series * wh ** (nu - 0.5)
         small = np.isinf(k) & ~hankel
         if small.any():
             # w**(nu - order) is 1 for nu >= 0 and the weight of a negative order
@@ -160,11 +211,19 @@ def bessel_k_weighted(nu, w):
     ``nu > 0`` the value tends to ``2**(nu-1) Gamma(nu)`` as ``w -> 0``,
     while for ``nu = 0`` it grows like ``-log(w/2) - EULER_GAMMA``.
 
-    The value is ``scipy.special.kve(nu, w) * w**nu * exp(-w)``.  Two
+    At whole and half-integer orders ``n = |nu|`` (the orders of every
+    plane term at ``u = 0``) the scaled value ``F(n) e^w`` starts from
+    ``F(0) = k0e(w)`` and ``F(1) = w k1e(w)`` (``scipy.special``), or from
+    the closed ``F(1/2) = sqrt(pi/2)`` and ``F(3/2) = sqrt(pi/2) (1 + w)``
+    (DLMF 10.39.2), and steps up with ``F(n+1) = 2n F(n) + w^2 F(n-1)``
+    (DLMF 10.29.1), whose terms are all positive.  Every other order, and
+    every argument where that route is not finite or ``k0e`` meets a
+    subnormal ``w``, takes ``scipy.special.kve(|nu|, w) * w**nu``.  Two
     ranges that ``kve`` does not serve are closed in form: beyond
     ``w = 1e9`` the first three terms of Hankel's expansion, and where
     ``kve`` overflows (large orders at small ``w``, or any order below
-    ``w ~ 2e-305``) the leading two terms of the small-``w`` series.
+    ``w ~ 2e-305``) the leading two terms of the small-``w`` series.  The
+    value is the scaled one times ``exp(-w)``.
 
     Parameters
     ----------

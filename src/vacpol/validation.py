@@ -50,6 +50,8 @@ def check_specialfns():
     results.append(_check("bessel.half_order_exact", dev, 1e-12,
                           "F(1/2, w) e^w = sqrt(pi/2) on w in [0.01, 50]"))
 
+    # whole and half-integer orders are computed by this recurrence, so at
+    # 0, 1, 2.5 and 4 it holds by construction; 0.3, 1.7 and 6.3 test kve
     dev = 0.0
     ws = np.array([0.01, 0.1, 1.0, 5.0, 20.0])
     for nu in (0.0, 0.3, 1.0, 1.7, 2.5, 4.0, 6.3):

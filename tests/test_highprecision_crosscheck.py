@@ -16,8 +16,10 @@ import pytest
 mpmath = pytest.importorskip("mpmath")
 
 from vacpol import reflecting as rf
+from vacpol import semitransparent as st
 from vacpol.core import FieldConfig
-from vacpol.heatkernel import DIRICHLET, ReflectingBC
+from vacpol.errors import ParameterError
+from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
 from vacpol.specialfns import (
     bessel_k_weighted,
     bessel_k_weighted_scaled,
@@ -144,24 +146,77 @@ def test_weighted_bessel_high_orders():
     assert _worst_relative_error(bessel_k_weighted, cases) < 1e-12
 
 
-# Golden-grid points whose coupling integral cancels strongly against the head
+# Whole and half-integer orders do not go through kve: k0e / k1e or the
+# closed half orders start an upward recurrence.  Each regime is (function,
+# w drawn from rng, w pinned at its edges); every exact order |nu| <= 50 sees
+# two draws and the edges.
+_EXACT_ORDER_REGIMES = {
+    "below_the_kve_floor": (bessel_k_weighted, lambda rng: 10 ** rng.uniform(-323.3, -305.0),
+                            (5e-324, 1e-310, 2.2250738585072014e-308, 2e-305)),
+    "where_k_overflows": (bessel_k_weighted, lambda rng: 10 ** rng.uniform(-300.0, -6.0),
+                          (1e-300, 1e-6)),
+    "bulk": (bessel_k_weighted, lambda rng: 10 ** rng.uniform(-6.0, math.log10(700.0)),
+             (1e-3, 1.0, 100.0, 700.0)),
+    "gradual_underflow": (bessel_k_weighted, lambda rng: rng.uniform(700.0, 760.0), (745.0,)),
+    "beyond_1e9": (bessel_k_weighted_scaled, lambda rng: 10 ** rng.uniform(9.0, 13.0),
+                   (1.0000001e9, 1e13)),
+}
+
+
+@pytest.mark.parametrize("regime", _EXACT_ORDER_REGIMES)
+def test_weighted_bessel_exact_orders(regime):
+    # relative where the value is a normal double, gradual underflow below
+    # that (as in test_weighted_bessel_gradual_underflow), ParameterError past
+    # double range
+    fn, draw, edges = _EXACT_ORDER_REGIMES[regime]
+    scaled = fn is bessel_k_weighted_scaled
+    rng = random.Random(190)
+    orders = [0.0] + [sign * 0.5 * k for k in range(1, 101) for sign in (1, -1)]
+    worst, normal = 0.0, 0
+    for nu in orders:
+        for w in (draw(rng), draw(rng)) + edges:
+            ref = _weighted_bessel_mp(nu, w, scaled)
+            if ref > sys.float_info.max:
+                with pytest.raises(ParameterError):
+                    fn(nu, w)
+            elif ref < sys.float_info.min:
+                assert abs(fn(nu, w) - ref) < 1e-322, (nu, w)
+            else:
+                normal += 1
+                error = float(abs(fn(nu, w) - ref) / ref)
+                worst = max(worst, math.inf if math.isnan(error) else error)
+    assert normal > 100
+    assert worst < 1e-12, worst
+
+
+# Golden-grid points whose coupling integrals cancel strongly against the head
 # term (by up to 1800x at d = 9), so the plane value carries the quadrature's
-# 1e-12 target amplified: (golden key, observable, wall, d, x1, u).  Their
-# 30-digit references are pinned in cancelling_refs.json, written by
-# make_cancelling_refs.py, which states the reference route.
+# 1e-12 target and the rounding of each term amplified: (golden key,
+# observable, wall, d, x1, u).  Their 40-digit references are pinned in
+# cancelling_refs.json, written by make_cancelling_refs.py, which states the
+# reference route.
 _WALLS = {"robin_2": ReflectingBC.robin(2.0), "dirichlet_robin": ReflectingBC(DIRICHLET, 2.0),
-          "robin_pm": ReflectingBC(1.5, -0.4)}
+          "robin_pm": ReflectingBC(1.5, -0.4),
+          "general": SemitransparentBC(2.0, 1.0, 1.0, 1.0, complex(math.cos(0.6), math.sin(0.6)))}
 _CANCELLING_GOLDEN_POINTS = [
     (f"{quantity}/{wall}/d{d}/x{x1!r}", quantity, wall, d, x1, None)
     for quantity in ("plane_term", "renormalize")
     for wall, d, x1 in (("robin_2", 5, -1.4), ("robin_2", 5, 1.4), ("dirichlet_robin", 5, -1.4),
-                        ("robin_pm", 3, 1.4), ("robin_pm", 9, 5.0))
+                        ("robin_pm", 1, 0.3), ("robin_pm", 3, 1.4), ("robin_pm", 9, 5.0),
+                        ("general", 11, -5.0))
 ] + [
     (f"regularized/robin_pm/d{d}/x0.05/u{u!r}", "regularized", "robin_pm", d, 0.05, u)
     for d, u in ((1, -0.5), (2, 0.5))
 ]
 with open(os.path.join(os.path.dirname(__file__), "cancelling_refs.json"), encoding="utf-8") as fh:
     _CANCELLING_REFS = {point["key"]: point for point in json.load(fh)["points"]}
+
+
+def _wall_fields(bc, x1):
+    # how cancelling_refs.json names a wall: the face b, or the transfer matrix
+    if isinstance(bc, ReflectingBC):
+        return {"b": bc.side(x1)}
+    return {"transfer": [bc.alpha, bc.beta, bc.gamma_coupling, bc.sigma_param]}
 
 
 @pytest.mark.parametrize("key, quantity, wall, d, x1, u", _CANCELLING_GOLDEN_POINTS,
@@ -171,14 +226,16 @@ def test_cancelling_golden_points_against_mpmath(key, quantity, wall, d, x1, u):
     # sums at h and 2h agree within 1e-6 (the error goes as that gap squared),
     # else it raises NumericalFailureError
     cfg, bc = FieldConfig(d, 1.0), _WALLS[wall]
+    mod = rf if isinstance(bc, ReflectingBC) else st
     pinned = _CANCELLING_REFS[key]
-    assert (pinned["quantity"], pinned["b"], pinned["d"], pinned["x1"], pinned["u"]) == (
-        quantity, bc.side(x1), d, x1, u)
+    fields = _wall_fields(bc, x1)
+    assert {name: pinned[name] for name in fields} == fields
+    assert (pinned["quantity"], pinned["d"], pinned["x1"], pinned["u"]) == (quantity, d, x1, u)
     ref = mpmath.mpf(pinned["ref"])
     if quantity == "plane_term":
-        got = rf.plane_term(cfg, bc, x1)
+        got = mod.plane_term(cfg, bc, x1)
     elif quantity == "renormalize":
-        got = rf.renormalize_at_zero(cfg, bc, x1).plane_term
+        got = mod.renormalize_at_zero(cfg, bc, x1).plane_term
     else:
-        got = rf.regularized_polarization(cfg, bc, x1, u)
+        got = mod.regularized_polarization(cfg, bc, x1, u)
     assert float(abs(got - ref) / abs(ref)) < 1e-12

@@ -1,6 +1,9 @@
 import math
+import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies
 from scipy.integrate import quad
 
 from vacpol.errors import ParameterError
@@ -148,6 +151,26 @@ class TestWeightedBesselK:
         # below the floor of the scipy kernel, order 0 keeps its logarithm
         w = 1e-310
         assert bessel_k_weighted(0.0, w) == pytest.approx(-math.log(0.5 * w) - EULER_GAMMA, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=strategies.integers(-100, 100),
+    offset=strategies.sampled_from((-1e-14, 1e-14)),
+    w=strategies.floats(-3.0, math.log10(600.0)).map(lambda e: 10.0**e),
+)
+def test_no_jump_between_exact_orders_and_kve(k, offset, w):
+    # an order n = k/2 takes k0e / k1e or the closed half order and the
+    # recurrence; n +- 1e-14 takes kve.  On w in [1e-3, 600] the true value
+    # moves by under 1e-13 relative over that step
+    n = 0.5 * k
+    near = n + offset if abs(n + offset) <= 50.0 else n - offset
+    try:
+        exact, other = bessel_k_weighted(n, w), bessel_k_weighted(near, w)
+    except ParameterError:  # a negative order past double range at small w
+        exact = other = math.nan
+    assume(exact >= sys.float_info.min)
+    assert other == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 class TestUpperGamma:

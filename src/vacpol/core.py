@@ -46,13 +46,15 @@ __all__ = [
 ]
 
 # The coupling integral is a trapezoid in s = ln v, step _STEP/sqrt(p), from
-# _S_FIRST - ln max(c, 1) to ln(45/c) + 1 with c = 2(rate+m)|x1| (the parts
-# left out are below e^-45 of the integral); a point whose h and 2h sums
-# disagree beyond _MAX_DISAGREEMENT (relative) raises NumericalFailureError.
+# _S_FIRST - ln max(c, 1) to ln(45/c) + 1 with c = 2(rate+m)|x1|.  Left of the
+# first node the integrand falls like v = e^s to O(v): its nodes there are one
+# geometric series (off by about e^-56 of the integral); right of the last they
+# are below e^-45 of it.  A point whose h and 2h sums disagree beyond
+# _MAX_DISAGREEMENT (relative) raises NumericalFailureError.
 # Above u = d the integrand can grow like v^{p-1}, p = (u-d)/2 + 1, before
 # e^{-cv} cuts it off, to a peak about 1/sqrt(p) wide in s; else p = 1.
 _STEP = 0.25
-_S_FIRST = -45.0
+_S_FIRST = -28.0  # nearer v = 1 saves more nodes; ROADMAP item 1 says why it waits
 _S_LAST = math.log(45.0) + 1.0
 # beyond it (less the one step by which the last node may pass ln(45/c) + 1)
 # a node's v = e^s is past double range
@@ -373,25 +375,27 @@ def _log_integrand(d, m, rate, us, ax, s):
     # e^{s - 2(rate+m)|x| v - 2m|x|} (v+1)^{u+1-d} e^w F((d-1-u)/2, w)
     # with w = 2m|x|(v+1)
     v = np.exp(s)
-    exponent = s - 2.0 * (rate + m) * ax * v - 2.0 * m * ax
+    w0 = 2.0 * m * ax  # the head term's argument
+    exponent = s - 2.0 * (rate + m) * ax * v - w0
     log_v1 = np.log1p(v)
-    w = 2.0 * m * ax * (v + 1.0)
+    w = w0 * (v + 1.0)
     with np.errstate(divide="ignore"):  # a factor that underflowed to 0 stays 0
-        return np.stack([np.exp(exponent + (u + 1.0 - d) * log_v1
+        return np.array([np.exp(exponent + (u + 1.0 - d) * log_v1
                                 + np.log(bessel_k_weighted_scaled(0.5 * (d - 1 - u), w)))
                          for u in us])
 
 
-def _log_trapezoid(integrand, first, last, step, tail=None):
+def _log_trapezoid(integrand, first, last, step, decay=None):
     r"""Trapezoid sums in ``s`` over the nodes ``first + k step``, ``k = 0, 1, ...``
     up to the first node past ``last``, one sum per point and integrand row:
     ``(value, err_est)``, arrays of shape ``(points, rows)``.
 
     ``integrand(point, s)`` evaluates the rows at the nodes ``s`` of the points
     ``point``, index and node arrays of one length.  ``step`` is a float or
-    one step per point.  ``tail(h)``, if given, is the part of each point's
-    integral left of ``first`` as the nodes of step ``h`` sum it.  Where the
-    integrand is analytic in a strip about the real axis and decays
+    one step per point.  With a ``decay`` rate, the integrand left of ``first``
+    is its first node ``g`` times ``e^{decay (s - first)}``, and the sum of step
+    ``h`` adds those nodes as ``g h/expm1(decay h)``.  Where the integrand is
+    analytic in a strip about the real axis and decays
     double-exponentially at both ends, the error falls exponentially in
     ``1/h`` and roughly squares when ``h`` halves (Trefethen & Weideman,
     SIAM Review 56, 2014); ``err_est`` is the squared gap to the ``2h`` sum,
@@ -411,12 +415,13 @@ def _log_trapezoid(integrand, first, last, step, tail=None):
     h = step[:, None] if per_point else step
     value = h * np.add.reduceat(g, starts, axis=1).T
     coarse = 2.0 * h * np.add.reduceat(g * (1.0 - node % 2), starts, axis=1).T
-    if tail is not None:
-        value += tail(step)[:, None]
-        coarse += tail(2.0 * step)[:, None]
-    gap = np.abs(value - coarse)
+    if decay is not None:
+        first_node = g.take(starts, axis=1).T
+        value += first_node * (h / np.expm1(decay * h))
+        coarse += first_node * (2.0 * h / np.expm1(2.0 * decay * h))
+    gap, size = np.abs(value - coarse), np.abs(value)
     # a sum below the smallest normal double has no relative accuracy to check
-    unresolved = ~(gap <= _MAX_DISAGREEMENT * np.abs(value) + sys.float_info.min)
+    unresolved = ~(gap <= _MAX_DISAGREEMENT * size + sys.float_info.min)
     if unresolved.any():
         i, j = np.argwhere(unresolved)[0]
         cause = (f"its h and 2h sums disagree by {float(gap[i, j]):.3e} of {float(value[i, j]):.6g}"
@@ -426,16 +431,15 @@ def _log_trapezoid(integrand, first, last, step, tail=None):
             best_estimate=float(value[i, j]),
             error_bound=float(gap[i, j]),
         )
-    with np.errstate(invalid="ignore"):
-        err_est = np.where(gap > 0.0, gap * (gap / np.abs(value)), 0.0)
-    return value, err_est
+    # 0 where the sums agree exactly, whatever the value
+    return value, gap * (gap / np.where(gap > 0.0, size, 1.0))
 
 
 def _coupling_integrals(d, m, ax, rate, us):
     r"""``I(rate) = int_0^inf dv e^{-2 rate |x| v} (v+1)^{u+1-d} F((d-1-u)/2, 2m|x|(v+1))``
     at the distances ``ax`` (one side) and the regulator values ``us``:
     ``(value, err_est)``, arrays of shape ``(points, us)``; a
-    trapezoid in ``s = ln v`` (:func:`_log_trapezoid`), step ``_STEP/sqrt(p)``.
+    trapezoid in ``s = ln v`` (:func:`_log_trapezoid`, decay 1), step ``_STEP/sqrt(p)``.
     """
     p = max(1.0, 0.5 * (max(us) - d) + 1.0)
     c = 2.0 * (rate + m) * ax
@@ -449,7 +453,7 @@ def _coupling_integrals(d, m, ax, rate, us):
             f"2(rate+m)|x1| = {float(c[i]):.3g} spreads it past the double range of v"
         )
     return _log_trapezoid(lambda point, s: _log_integrand(d, m, rate, us, ax[point], s),
-                          first, last, _STEP / math.sqrt(p))
+                          first, last, _STEP / math.sqrt(p), decay=1.0)
 
 
 def _gauss(u, tau):
@@ -518,8 +522,8 @@ class ImageSum:
         # shifted by u; P(d, x1, 0) is the plane-term prefactor
         d, m, ax = cfg.d, cfg.m, np.abs(x1)
         u = np.asarray(us, dtype=float)
-        bracket = np.stack([self.head * bessel_k_weighted(0.5 * (d - 1 - uj), 2.0 * m * ax)
-                            for uj in us], axis=1)
+        bracket = np.array([self.head * bessel_k_weighted(0.5 * (d - 1 - uj), 2.0 * m * ax)
+                            for uj in us]).T
         for weight, rate in self.terms:
             bracket += weight * ax[:, None] * _coupling_integrals(d, m, ax, rate, us)[0]
         with np.errstate(divide="ignore", over="ignore"):
@@ -578,21 +582,16 @@ class ImageSum:
             if rate < 0.0:
                 last = np.maximum(last, np.log(depth + 2.0 * (m + rate) * ax)
                                   - math.log(m - rate) - math.log(m + rate))
-        tail = None
         if free:
             # left of ln(_FREE_EDGE / m^2) the integrand is the free part
             # e^{scale + qs} alone, and its nodes there sum to a geometric series
             first = np.minimum(first, math.log(_FREE_EDGE) - 2.0 * log_m)
-            edge = np.exp(scale + q * first)
-
-            def tail(h):
-                return edge * (h / np.expm1(q * h))
         peak = np.hypot(q, np.minimum(2.0 * m * ax, _ORACLE_PEAK))
         step = np.minimum(_ORACLE_STEP, 0.25 / np.sqrt(peak))
         return _log_trapezoid(
             lambda point, s: self._proper_time_integrand(m, ax[point], log_ax[point], q, scale,
                                                          free, s),
-            first, last, step, tail,
+            first, last, step, q if free else None,
         )[0][:, 0]
 
     def kernel(self, tau, x1, y1, m):

@@ -159,7 +159,7 @@ def _kve_weighted_scaled(nu, w):
     with np.errstate(over="ignore", invalid="ignore"):
         k = kve(order, w)
         value = k * w**nu
-        if np.isfinite(value).all():
+        if np.isfinite(value).all() and w.max(initial=0.0) <= _HANKEL_ARG:
             return value
         split = np.isinf(value) & np.isfinite(k)
         if split.any():
@@ -168,8 +168,8 @@ def _kve_weighted_scaled(nu, w):
             value[split] = k[split] * half * half
         hankel = w > _HANKEL_ARG
         if hankel.any():
-            # kve returns nan out here; three Hankel terms reach double
-            # precision for |nu| <= 50
+            # kve turns nan from about 1.07e9 on; three Hankel terms reach double
+            # precision for |nu| <= 50 and serve all of w > 1e9, whatever the array
             wh = w[hankel]
             mu = 4.0 * nu * nu
             z = 8.0 * wh

@@ -140,6 +140,12 @@ class TestWeightedBesselK:
             for nu, w in cases:
                 got = fn(nu, w)
                 assert list(got) == [fn(nu, x) for x in w]
+            # just past the Hankel edge kve is still finite, and beside a point
+            # where it is not the value must not change
+            for nu in (0.3, 2.7, -7.3):
+                alone = fn(nu, 1.0000001e9)
+                assert fn(nu, [5e8, 1.0000001e9])[1] == alone
+                assert fn(nu, [1.0000001e9, 2e9])[0] == alone
         with pytest.raises(ParameterError, match="w=-1.0"):
             bessel_k_weighted_scaled(1.0, [1.0, -1.0])
 

@@ -5,13 +5,15 @@
 Exit codes: 0 success, 1 validation failures, 2 invalid parameters or
 positivity violation, 3 infrared divergence, 4 numerical failure.
 
-Output is deterministic: the plane terms of a grid are one batch per side
-of the wall, rows come in ascending ``x1`` order, and every float is
-printed in its shortest round-trip decimal form.  An optional ``--config
-FILE`` reads ``key=value`` lines (keys are the long flag names); each entry
-acts as a flag placed right after the sub-command, before the explicit
-ones, so explicit flags win.  An unreadable file, an unknown key or a value
-its flag rejects exits 2 with a message naming the file or the key.
+Output is deterministic: the plane terms of a grid are one batch per
+distinct side record (a mirror-symmetric wall's two sides are one batch, in
+which each distinct ``|x1|`` is evaluated once), rows come in ascending
+``x1`` order, and every float is printed in its shortest round-trip decimal
+form.  An optional ``--config FILE`` reads ``key=value`` lines (keys are the
+long flag names); each entry acts as a flag placed right after the
+sub-command, before the explicit ones, so explicit flags win.  An unreadable
+file, an unknown key or a value its flag rejects exits 2 with a message
+naming the file or the key.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and only read after that: a config file never changes its defaults.
@@ -155,7 +157,7 @@ def _profile_rows(mod, cfg, bc, xs):
             row["free"], row["plane"], row["total"] = value.free_term, value.plane_term, value.total
         return rows
     free = mod.free_term(cfg)
-    # each column is one batch per side of the wall
+    # each column is one batch per distinct side record: one for a mirror-symmetric wall
     columns = zip(mod.plane_term(cfg, bc, xs), mod.small_x_asymptotic(cfg, bc, xs),
                   mod.large_x_asymptotic(cfg, bc, xs))
     for row, x1, (plane, small, large) in zip(rows, xs, columns):

@@ -240,18 +240,27 @@ def _point_images(cfg, bc, x1):
 
 def _per_side(cfg, bc, x1, observable):
     # the ImageSum method `observable` at the signed distances x1, a float or a
-    # 1-D array: the points of each side are one batch of that side's record
-    # (bc.images); a float gives a float, an array an array in the same order.
-    # Every point is checked (see sign) before the wall's positivity.
+    # 1-D array: one batch per distinct side record (bc.images), so the two
+    # sides of a mirror-symmetric wall are one batch, over the distinct |x1|; a
+    # float gives a float, an array an array in the same order.  Every point is
+    # checked (sign's error for the first bad one) before the wall's positivity;
+    # a range error names the first failing point of a side's own batch, and
+    # the smallest failing |x1| of a merged one.
     points = np.asarray(x1, dtype=float)
     batch = points.reshape(-1)
-    sides = np.array([sign(x) for x in batch])
+    bad = ~np.isfinite(batch) | (batch == 0.0)
+    if bad.any():
+        sign(float(batch[bad.argmax()]))
     bc.check_positive(cfg.m)
-    out = np.empty(len(batch))
-    for side in (1.0, -1.0):
-        on = sides == side
-        if on.any():
-            out[on] = getattr(bc.images(side, side), observable)(cfg, batch[on])
+    plus = batch > 0.0
+    sides = [(on, bc.images(side, side)) for on, side in ((plus, 1.0), (~plus, -1.0)) if on.any()]
+    if len(sides) == 2 and sides[0][1] == sides[1][1]:
+        distinct, order = np.unique(np.abs(batch), return_inverse=True)
+        out = getattr(sides[0][1], observable)(cfg, distinct)[order]
+    else:
+        out = np.empty(len(batch))
+        for on, record in sides:
+            out[on] = getattr(record, observable)(cfg, batch[on])
     return float(out[0]) if points.ndim == 0 else out
 
 
@@ -506,7 +515,8 @@ class ImageSum:
 
     The methods take already validated points (see :func:`sign`) and
     evaluate every observable of both geometry modules and of the heat
-    kernels; the methods that take an array take the points of one side.
+    kernels; the methods that take an array take the points of one side,
+    or the distances ``|x1|`` of both sides where the two share the record.
     """
 
     head: complex

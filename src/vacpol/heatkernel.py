@@ -241,9 +241,10 @@ class SemitransparentBC(_Wall):
         return ImageSum(1.0 if phase is None else -1.0, ((2.0 * m_p, lam_p), (-2.0 * m_m, lam_m)))
 
     def _weight_L(self, sx, phase=None):
-        # head of the beta = 0 family; phase is None for points on one side
+        # head of the beta = 0 family; phase is None for points on one side,
+        # where + 0.0 makes the pure delta head (alpha = sigma) +0.0 on both sides
         if phase is None:
-            return (self.alpha - self.sigma_param) * sx / self.trace_sum
+            return (self.alpha - self.sigma_param) * sx / self.trace_sum + 0.0
         return -(1.0 - 2.0 * phase / self.trace_sum)
 
     def _weight_M(self, lam, sx, phase=None):

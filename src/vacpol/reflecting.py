@@ -52,7 +52,9 @@ def plane_term(cfg, bc, x1):
     """Boundary contribution of the reflecting wall at signed distance ``x1``.
 
     ``x1`` is a float or a 1-D array of distances; an array gives an array,
-    evaluated as one batch per side (a float is a batch of one).
+    evaluated as one batch per distinct face (a float is a batch of one): the
+    two sides of equal faces are one batch, in which each distinct ``|x1|``
+    is evaluated once.
     """
     return _per_side(cfg, bc, x1, "plane_term")
 
@@ -72,7 +74,7 @@ def plane_term_oracle(cfg, bc, x1):
     the Bessel closed form above; the quadrature rule is the coupling
     integral's trapezoid, here in ``s = ln tau`` with a step that resolves
     the peak at ``tau = |x1|/m``.  ``x1`` is a float or a 1-D array, as for
-    :func:`plane_term`: one batch per side.
+    :func:`plane_term`: one batch per distinct face.
     """
     return _per_side(cfg, bc, x1, "plane_term_oracle")
 

@@ -97,15 +97,16 @@ def free_term(cfg):
 
 def plane_term(cfg, bc, x1):
     """Boundary contribution of the semitransparent wall at signed ``x1``, a
-    float or a 1-D array of distances (one batch per side, as in
-    :func:`vacpol.reflecting.plane_term`)."""
+    float or a 1-D array of distances, one batch per distinct side record
+    (as in :func:`vacpol.reflecting.plane_term`): at ``alpha = sigma`` the
+    two sides are one batch, in which each distinct ``|x1|`` is evaluated once."""
     return _per_side(cfg, bc, x1, "plane_term")
 
 
 def plane_term_oracle(cfg, bc, x1):
     """Independent oracle of :func:`plane_term` from its proper-time
     representation (see :func:`vacpol.reflecting.plane_term_oracle`); a
-    float or a 1-D array of distances, one batch per side."""
+    float or a 1-D array of distances, batched as :func:`plane_term`."""
     return _per_side(cfg, bc, x1, "plane_term_oracle")
 
 

@@ -9,6 +9,13 @@ a pair of points to that record; every observable -- heat kernel, plane
 term, regulator continuation and its Laurent renormalization,
 proper-time oracles, asymptotic laws and massless limits -- is
 evaluated here from it.
+
+The plane term has one route per input.  At even ``d`` and ``u = 0`` it is
+a closed sum of scaled exponential integrals (``ImageSum._even_plane``), with
+no quadrature and no Bessel call; at odd ``d`` and at every ``u != 0`` (the
+continuation and the Laurent stencil) each coupling integral is a trapezoid
+in ``s = ln v``.  The proper-time oracles, a trapezoid in ``s = ln tau``
+over another representation, check both.
 """
 
 import cmath
@@ -31,6 +38,7 @@ from .specialfns import (
     bessel_k_weighted,
     bessel_k_weighted_scaled,
     erfcx,
+    expn_scaled,
     harmonic_number,
     upper_gamma_scaled,
 )
@@ -60,6 +68,20 @@ _S_LAST = math.log(45.0) + 1.0
 # a node's v = e^s is past double range
 _S_MAX = math.log(sys.float_info.max) - _STEP
 _MAX_DISAGREEMENT = 1e-6
+
+# At even d the order (d-1)/2 = n + 1/2 of the plane term's head is a
+# half-integer, F(n + 1/2, w) = sqrt(pi/2) e^{-w} sum_k c_k w^{n-k} with
+# c_k = (n+k)!/(k! (n-k)! 2^k) (DLMF 10.49.12), and at u = 0 each coupling
+# integral is a sum of e^c E_{d/2+k}(c) (see ImageSum._even_plane).
+# _HALF_ORDER[d] holds the columns c_k, n - k and d/2 + k over k = 0 .. n.
+_HALF_ORDER = {
+    d: (np.array([[math.factorial(d // 2 - 1 + k)
+                   / (math.factorial(k) * math.factorial(d // 2 - 1 - k) * 2**k)]
+                  for k in range(d // 2)]),
+        np.arange(d // 2 - 1, -1, -1)[:, None],
+        np.arange(d // 2, d)[:, None])
+    for d in range(2, 12, 2)
+}
 
 # The proper-time oracles are a trapezoid in s = ln tau with the same rule,
 # step min(_ORACLE_STEP, 1/(4 sqrt(r))): the peak of tau^q e^{-m^2 tau - x1^2/tau}
@@ -503,6 +525,10 @@ class ImageSum:
     with ``F(nu, w) = w^nu K_nu(w)``,
     ``P = 1/(2^{(3d-1)/2} pi^{(d+1)/2} |x1|^{d-1})`` and the coupling integral
     ``I(rate) = int_0^inf dv e^{-2 rate |x1| v} (v+1)^{1-d} F((d-1)/2, 2m|x1|(v+1))``.
+    At even ``d``, with ``n = d/2 - 1``, ``F((d-1)/2, w) = sqrt(pi/2) e^{-w}
+    sum_k c_k w^{n-k}`` and ``I(rate) = sqrt(pi/2) e^{-w0} sum_k c_k w0^{n-k}
+    e^c E_{d/2+k}(c)``, ``w0 = 2m|x1|``, ``c = 2(rate+m)|x1|``,
+    ``c_k = (n+k)!/(k! (n-k)! 2^k)``: the plane term is a closed sum there.
     In the proper-time integral of the plane term the same record reads
     ``head e^{-x1^2/tau} + sum_k weight_k/2 int_0^inf dw e^{-rate_k w - (w+2|x1|)^2/(4 tau)}``.
 
@@ -529,8 +555,12 @@ class ImageSum:
         # plane part of the continuation at the distances x1 (an array, one
         # side) and the regulator values us, as (points, us) values: P(d, x1, u)
         # times the bracket head F((d-1-u)/2, 2m|x|) + sum weight |x| I(rate),
-        # shifted by u; P(d, x1, 0) is the plane-term prefactor
+        # shifted by u; P(d, x1, 0) is the plane-term prefactor.  Even d at
+        # u = 0 is the closed sum of _even_plane, every other input the
+        # coupling trapezoid
         d, m, ax = cfg.d, cfg.m, np.abs(x1)
+        if d % 2 == 0 and us == (0.0,):
+            return self._even_plane(cfg, ax)[:, None]
         u = np.asarray(us, dtype=float)
         bracket = np.array([self.head * bessel_k_weighted(0.5 * (d - 1 - uj), 2.0 * m * ax)
                             for uj in us]).T
@@ -544,6 +574,45 @@ class ImageSum:
                 / (math.pi ** (0.5 * d) * ax[:, None] ** (d - 1))
             )
             value = prefactor * bracket
+        return _within_range(value, ax, "the plane term")
+
+    def _even_plane(self, cfg, ax):
+        # the plane term at even d and the distances ax (one side), with no
+        # quadrature: with n = d/2 - 1, w0 = 2m|x1| and c = 2(rate+m)|x1|,
+        #   (8 pi)^{-d/2} |x1|^{1-d} e^{-w0} sum_k c_k w0^{n-k}
+        #       [head + sum weight |x1| e^c E_{d/2+k}(c)],
+        # every factor positive but head and weights.  Where the point's scale
+        # (8 pi)^{-d/2} |x1|^{1-d} e^{-w0} (and its product with |x1|) is a
+        # normal double it multiplies the sums; elsewhere it and w0^{n-k} share
+        # one exponent per term.  Each weight multiplies last, after the scale,
+        # so a subnormal coupling forms no subnormal product
+        d, m = cfg.d, cfg.m
+        coeffs, powers, orders = _HALF_ORDER[d]
+        w0 = 2.0 * m * ax
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = np.exp(-w0)
+            scale = (8.0 * math.pi) ** (-0.5 * d) * ax ** (1 - d) * decay
+            image_scale = scale * ax
+            # the power of |x1| is normal where the scale is; e^{-w0} need not be
+            linear = ((np.minimum(decay, np.minimum(scale, image_scale)) >= sys.float_info.min)
+                      & (np.maximum(scale, image_scale) < math.inf))
+            terms = coeffs * w0**powers
+            image_terms = terms
+            if not linear.all():
+                # w0 may be 0 or past range where its log is not
+                log_ax = np.log(ax)
+                exponent = (powers * (math.log(2.0) + math.log(m) + log_ax)
+                            - 0.5 * d * math.log(8.0 * math.pi) + (1 - d) * log_ax - w0)
+                terms = np.where(linear, terms, coeffs * np.exp(exponent))
+                image_terms = np.where(linear, image_terms, coeffs * np.exp(exponent + log_ax))
+                scale = np.where(linear, scale, 1.0)
+                image_scale = np.where(linear, image_scale, 1.0)
+            # a pure delta head is 0, and its scale may be past range where the images' is not
+            value = (self.head * (scale * terms.sum(axis=0)) if self.head != 0.0
+                     else np.zeros(len(ax)))
+            for weight, rate in self.terms:
+                sums = (image_terms * expn_scaled(orders, 2.0 * (rate + m) * ax)).sum(axis=0)
+                value = value + weight * (image_scale * sums)
         return _within_range(value, ax, "the plane term")
 
     def _proper_time_integrand(self, m, ax, log_ax, q, scale, free, s):

@@ -235,7 +235,8 @@ class SemitransparentBC(_Wall):
         if self.is_delta_family:
             c = self.delta_ratio
             L = self._weight_L(sx, phase)
-            return ImageSum(L, ((-2.0 * (1.0 + L) * c, c),))
+            # the weight from gamma, not from c, which rounds where gamma is subnormal
+            return ImageSum(L, ((-2.0 * (1.0 + L) / self.trace_sum * self.gamma_coupling, c),))
         lam_p, lam_m = self.lambda_pm()
         m_p, m_m = (self._weight_M(lam, sx, phase) for lam in (lam_p, lam_m))
         return ImageSum(1.0 if phase is None else -1.0, ((2.0 * m_p, lam_p), (-2.0 * m_m, lam_m)))

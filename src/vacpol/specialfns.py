@@ -1,16 +1,20 @@
 r"""Special functions for the vacuum-polarization formulas.
 
-Everything downstream is expressed through four ingredients:
+Everything downstream is expressed through five ingredients:
 
 * the weighted modified Bessel function of the second kind
   ``w**nu * K_nu(w)`` (finite and nonzero at ``w = 0`` for ``nu > 0``): at
   whole and half-integer orders from ``scipy.special.k0e`` / ``k1e`` or the
   closed half orders and an upward recurrence, at every other order from
   ``scipy.special.kve``, with closed forms where neither serves;
+* the scaled exponential integral ``e^c E_p(c)`` at integer orders ``p >= 1``
+  over arrays (:func:`expn_scaled`): ``exp(c) * scipy.special.expn(p, c)``
+  where both are normal doubles, and the uniform large-argument series
+  (DLMF 8.20.3) beyond.  It is each term of the even-``d`` plane term's
+  closed sum and, as :func:`upper_gamma_scaled`, of the massless closed forms;
 * the upper incomplete Gamma function ``Gamma(a, z)`` for ``a <= 2``,
-  including negative integer ``a``, from ``scipy.special`` (``exp1``,
-  ``expn``, ``gammaincc``) at small arguments and a continued fraction at
-  large ones, where ``exp(w) * expn(n, w)`` overflows past ``w ~ 709``;
+  including negative integer ``a``, from ``scipy.special`` (``expn``,
+  ``gammaincc``) at small arguments and a continued fraction at large ones;
 * the error function and the scaled ``erfcx`` (libm and ``scipy.special``);
 * harmonic numbers and the Euler-Mascheroni constant.
 
@@ -23,7 +27,9 @@ function                    domain                                   rel. err
 ``bessel_k_weighted``       ``|nu| <= 50``, every ``w > 0`` whose    <= 1e-12
                             value is a normal double
 ``upper_gamma``             ``a in [-20, 2]``, ``z > 0``             <= 1e-10
-``upper_gamma_scaled``      ``n in 0..9``, ``w >= 0``                <= 1e-11
+``expn_scaled``             ``p in 1..10``, ``c`` from 5e-324 to     <= 1e-14
+                            1e300 (and ``c = 0`` at ``p >= 2``)
+``upper_gamma_scaled``      ``n in 0..9``, ``w >= 0``                <= 1e-14
 ``erf`` / ``erfc``          all finite arguments (libm)              <= 1e-14
 ==========================  =======================================  =========
 
@@ -35,7 +41,7 @@ import sys
 
 import numpy as np
 from scipy.special import erfcx as _erfcx
-from scipy.special import exp1, expn, exprel, gammaincc, k0e, k1e, kve
+from scipy.special import expn, exprel, gammaincc, k0e, k1e, kve
 
 from .errors import ParameterError
 
@@ -43,6 +49,7 @@ __all__ = [
     "EULER_GAMMA",
     "bessel_k_weighted",
     "bessel_k_weighted_scaled",
+    "expn_scaled",
     "upper_gamma",
     "upper_gamma_scaled",
     "erf",
@@ -265,11 +272,76 @@ def bessel_k_weighted_scaled(nu, w):
 
 
 # ---------------------------------------------------------------------------
+# scaled exponential integral
+# ---------------------------------------------------------------------------
+
+# Up to here exp(c) and expn(p, c) are both normal doubles (expn(p, c) ~
+# e^-c/(c+p)); beyond, nine terms of the uniform series reach double precision
+# for every p >= 1.  Above _EXPN_ORDER, expn takes its own large-order
+# expansion, which is off by 1e-7 at p = 100, c = 50; the series by 1e-16.
+_EXPN_FAR = 600.0
+_EXPN_ORDER = 50
+
+
+def _uniform_coefficients(count):
+    # A_0 .. A_{count-1} of DLMF 8.20.3, lowest power first: A_0 = 1,
+    # A_{k+1}(l) = (1 - 2k l) A_k(l) + l (l + 1) A_k'(l)
+    out = [[1]]
+    for k in range(count - 1):
+        a = out[-1] + [0]
+        out.append([(1 + j) * a[j] + (j - 1 - 2 * k) * (a[j - 1] if j else 0)
+                    for j in range(k + 1)])
+    return out
+
+
+_UNIFORM = _uniform_coefficients(9)
+
+
+def _expn_scaled_far(p, c):
+    # e^c E_p(c) = s sum_k s^k sum_j a_kj t^j q^(k-j), with s = 1/(c+p),
+    # q = p s and t = c s, A_k(l) = sum_j a_kj l^j (DLMF 8.20.3 at l = c/p);
+    # term k is below (2k-1)!!/(c+p)^k
+    s = 1.0 / (c + p)
+    q = p * s
+    t = 1.0 - q
+    total = np.zeros(np.shape(c))
+    for k in reversed(range(len(_UNIFORM))):
+        total = total * s + sum(a * t**j * q ** (k - j) for j, a in enumerate(_UNIFORM[k]))
+    return total * s
+
+
+def expn_scaled(p, c):
+    r"""Scaled exponential integral
+    ``exp(c) * E_p(c) = int_0^inf e^{-c v} (1+v)^-p dv`` for integer orders
+    ``p >= 1`` and ``c >= 0`` (``c > 0`` at ``p = 1``).
+
+    ``p`` and ``c`` broadcast against each other; each element is
+    ``exp(c) * scipy.special.expn(p, c)`` up to ``c = 600``, where both
+    factors are normal doubles, and beyond it (and at every order above 50)
+    the first nine terms of the uniform expansion in ``1/(c+p)`` (DLMF
+    8.20.3), whose terms are all below ``(2k-1)!!/(c+p)^k``.  The value
+    decays like ``1/c`` and is finite at ``c = 0`` for ``p >= 2``
+    (``1/(p-1)``); it is ``inf`` at ``c = 0``, ``p = 1``.  An element does
+    not depend on the rest of its array.
+    """
+    c = np.asarray(c, dtype=float)
+    far = (c > _EXPN_FAR) | (np.asarray(p) > _EXPN_ORDER)
+    if not far.any():
+        return np.exp(c) * expn(p, c)
+    # np.minimum: no overflow where the series replaces the value below
+    value = np.array(np.exp(np.minimum(c, _EXPN_FAR)) * expn(p, c))
+    p, c, far = np.broadcast_arrays(p, c, far)
+    value[far] = _expn_scaled_far(p[far], c[far])
+    return value
+
+
+# ---------------------------------------------------------------------------
 # incomplete Gamma
 # ---------------------------------------------------------------------------
 
 def _upper_gamma_cf(a, z):
-    # Continued fraction for exp(z) z^-a Gamma(a, z) (modified Lentz).
+    # Continued fraction for exp(z) z^-a Gamma(a, z) (modified Lentz), the
+    # large-z route of upper_gamma.
     # Reliable for z >= ~1; for negative a this is the cancellation-free
     # route, unlike the downward recurrence.
     tiny = 1e-300
@@ -347,7 +419,8 @@ def upper_gamma_scaled(n, w):
     stays finite as ``w -> 0`` for ``n >= 1`` (limit ``1/n``) and never
     overflows at large ``w`` (it decays like ``1/w``).  For ``n = 0`` it is
     ``exp(w) * E_1(w)``, which diverges logarithmically at ``w = 0`` (``w > 0``
-    required).  Up to ``w = 1`` it is ``exp(w) * scipy.special.expn(n+1, w)``.
+    required).  It is the scalar face of :func:`expn_scaled` at ``p = n + 1``,
+    since ``w**n * Gamma(-n, w) = E_{n+1}(w)`` (DLMF 8.19.1).
     """
     if not math.isfinite(n):
         raise ParameterError(f"upper_gamma_scaled requires a finite n, got n={n}")
@@ -358,6 +431,4 @@ def upper_gamma_scaled(n, w):
         raise ParameterError(f"upper_gamma_scaled requires w > 0 at n = 0, got w={w}")
     if not 0.0 <= w < math.inf:
         raise ParameterError(f"upper_gamma_scaled requires a finite w >= 0, got w={w}")
-    if w > 1.0:
-        return _upper_gamma_cf(-float(n), w)
-    return math.exp(w) * float(exp1(w) if n == 0 else expn(n + 1, w))
+    return float(expn_scaled(n + 1, w))

@@ -28,7 +28,10 @@ Gamma((u+1)/2))``.  A Robin face ``b`` is head 1 with the image
 head is 1 and the images are ``(2 M(L+), L+)`` and ``(-2 M(L-), L-)``: the
 rates ``L+ > L-`` are the roots of ``beta L^2 - (alpha+sigma) L + gamma``,
 and ``M(L) = -sgn(beta) ((alpha+sigma) L - 2 gamma - (alpha-sigma) sgn(x1) L)
-/ sqrt((alpha-sigma)^2 + 4)``.  Nothing is taken from the library.
+/ sqrt((alpha-sigma)^2 + 4)``.  With ``beta = 0`` (the delta family) the head
+is ``L = (alpha-sigma)/(alpha+sigma) sgn(x1)`` and the image is
+``(-2(1+L) c, c)``, ``c = gamma/(alpha+sigma)``.  Nothing is taken from the
+library; ``tests/make_corner_refs.py`` uses the same map.
 """
 
 import json
@@ -69,6 +72,10 @@ def images(fields, x1):
         b = mpmath.mpf(fields["b"])
         return 1, [(-4 * b, b)]
     alpha, beta, gamma, sigma = (mpmath.mpf(p) for p in fields["transfer"])
+    if beta == 0:
+        head = (alpha - sigma) / (alpha + sigma) * mpmath.sign(x1)
+        c = gamma / (alpha + sigma)
+        return head, [(-2 * (1 + head) * c, c)]
     root = mpmath.sqrt((alpha - sigma) ** 2 + 4)
     rates = sorted(((alpha + sigma + s * root) / (2 * beta) for s in (1, -1)), reverse=True)
     skew = (alpha - sigma) * mpmath.sign(x1)

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
@@ -23,6 +24,7 @@ from vacpol.heatkernel import DIRICHLET, ReflectingBC, SemitransparentBC
 from vacpol.specialfns import (
     bessel_k_weighted,
     bessel_k_weighted_scaled,
+    expn_scaled,
     upper_gamma,
     upper_gamma_scaled,
 )
@@ -81,6 +83,41 @@ def test_upper_gamma_scaled_random_grid():
         )
         worst = max(worst, abs(got - ref) / abs(ref))
     assert worst < 1e-11, worst
+
+
+def test_expn_scaled_against_mpmath():
+    # e^c E_p(c) for p = 1..10 from the smallest subnormal to 1e300, on both
+    # sides of the switch to the uniform series at c = 600; an array gives each
+    # element its one-point value bit for bit, and upper_gamma_scaled(p - 1, c)
+    # is that value
+    rng = random.Random(191)
+    cs = [5e-324, 1e-310, 2.2250738585072014e-308, 1e-100, 1e-8, 0.5, 1.0, 2.0, 30.0, 599.0,
+          600.0, 600.0000000000001, 601.0, 700.0, 710.0, 745.0, 1e3, 1e8, 1e300]
+    cs += [10 ** rng.uniform(-323.0, 300.0) for _ in range(40)]
+    cs += [rng.uniform(550.0, 650.0) for _ in range(20)]
+    orders = list(range(1, 11))
+    table = expn_scaled(np.array(orders)[:, None], np.array(cs))
+    worst = 0.0
+    for i, p in enumerate(orders):
+        for j, c in enumerate(cs):
+            assert expn_scaled(p, c) == table[i, j] == upper_gamma_scaled(p - 1, c), (p, c)
+            ref = mpmath.exp(mpmath.mpf(c)) * mpmath.expint(p, mpmath.mpf(c))
+            error = float(abs(table[i, j] - ref) / ref)
+            worst = max(worst, math.inf if math.isnan(error) else error)
+    assert worst < 1e-14, worst
+
+
+@pytest.mark.parametrize("p, c", [(51, 10.0), (60, 1e-3), (100, 50.0), (200, 100.0), (590, 300.0),
+                                  (1000, 0.0), (1000, 500.0), (99, 700.0)])
+def test_expn_scaled_large_orders(p, c):
+    # above order 50 the uniform series serves every c: scipy's own large-order
+    # expn is off by 1e-7 at (100, 50) and 2e-8 at (200, 100).  The reference is
+    # the integral int_0^inf e^{-c v} (1+v)^-p dv itself
+    pm, cm = mpmath.mpf(p), mpmath.mpf(c)
+    width = 1 / (cm + pm)
+    ref = mpmath.quad(lambda v: mpmath.exp(-cm * v - pm * mpmath.log1p(v)),
+                      [0, width, 10 * width, 60 * width, mpmath.inf])
+    assert float(abs(upper_gamma_scaled(p - 1, c) - ref) / ref) < 1e-14
 
 
 def _weighted_bessel_mp(nu, w, scaled=False):

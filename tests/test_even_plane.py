@@ -39,12 +39,16 @@ TINY = sys.float_info.min
 
 def _trapezoid_plane(record, cfg, ax):
     # the plane term of the coupling trapezoid: P(d, x1) [head F((d-1)/2, 2m|x1|)
-    # + sum weight |x1| I(rate)], I(rate) from core._coupling_integrals
+    # + sum weight |x1| I(rate)], I(rate) from core._coupling_integrals.  Each
+    # weight multiplies last: a subnormal weight times |x1| would keep only
+    # part of its bits, even where the plane term itself is a normal double
     d, m = cfg.d, cfg.m
-    bracket = record.head * bessel_k_weighted(0.5 * (d - 1), 2.0 * m * ax)
+    prefactor = 1.0 / (2.0 ** (0.5 * (3 * d - 1)) * math.pi ** (0.5 * (d + 1)) * ax ** (d - 1))
+    value = record.head * (prefactor * bessel_k_weighted(0.5 * (d - 1), 2.0 * m * ax))
     for weight, rate in record.terms:
-        bracket = bracket + weight * ax * _coupling_integrals(d, m, ax, rate, (0.0,))[0][:, 0]
-    return bracket / (2.0 ** (0.5 * (3 * d - 1)) * math.pi ** (0.5 * (d + 1)) * ax ** (d - 1))
+        integral = _coupling_integrals(d, m, ax, rate, (0.0,))[0][:, 0]
+        value = value + weight * (prefactor * ax * integral)
+    return value
 
 
 def _near_threshold(m):
@@ -89,6 +93,7 @@ def walls(draw):
        st.sampled_from((1.0, -1.0)))
 @example((ReflectingBC.robin(-(1.0 - 1e-10) * 7.0), 7.0), 10, 1e-8, 1.0)
 @example((SemitransparentBC(2.0, 1.0, 1.0, 1.0), 1e3), 2, 0.3, -1.0)
+@example((SemitransparentBC.delta(TINY), 1.0), 4, math.exp(-9.0), 1.0)
 def test_closed_sum_matches_the_trapezoid(wall, d, ax, side):
     # each term alone (the head, and each coupling integral times its weight)
     # has no cancellation: relative at 1e-12 wherever the trapezoid's value is a
